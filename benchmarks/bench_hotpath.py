@@ -8,17 +8,7 @@ scans visible) three times in one process:
 1. optimized fast path (the code as checked in),
 2. optimized again — same seed must reproduce the identical schedule,
 3. seed baseline via :func:`repro.transport.reference.reference_mode`,
-   which swaps the pre-PR implementations back in,
-4. the vectorized SoA backend (``switch_factory=VectorizedAskSwitch``),
-   whose fingerprint must be byte-identical to run 1 on EVERY field —
-   ``values_sha256``, drop/dedup counters, ``events_processed``, the
-   final clock.  The simulator's flush-on-foreign batching keeps heap
-   push order exact, so no field is excluded.
-
-It also times the switch data plane in isolation (``data_plane``
-section): synthetic wide batches through the scalar compiled program and
-the SoA batch engine, reporting both in packets/sec plus the ratio
-against the floor recorded by the previous run's history entry.
+   which swaps the pre-PR implementations back in.
 
 The ``sharded`` section runs first (before the other legs heat the
 machine — its absolute rate is what check_regression.py gates): one
@@ -29,13 +19,12 @@ fingerprints must be byte-identical on every run, and the leg's
 ``packets_sent``) per second of sharded wall time.
 
 It measures simulator events/sec and transmitted packets/sec, then enforces
-the determinism contract: all three scalar runs must agree on the final
+the determinism contract: all three runs must agree on the final
 ``sim.now``, ``events_processed``, retransmission count, per-host packet
 counts, receive-window accept/duplicate totals and the aggregated values
 themselves (which must also equal the exact :func:`reference_aggregate`
-answer).  Any mismatch — including a vectorized-vs-scalar divergence —
-exits non-zero; an optimization that changes a single decision fails the
-build, however much faster it is.
+answer).  Any mismatch exits non-zero; an optimization that changes a
+single decision fails the build, however much faster it is.
 
 Results land in ``BENCH_hotpath.json`` (repo root by default).  The file
 keeps a ``history`` list — one speedup-trajectory entry per recorded run,
@@ -63,26 +52,18 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import AskConfig, AskService, FaultModel  # noqa: E402
 from repro.core.results import reference_aggregate  # noqa: E402
-from repro.switch.vectorized import VectorizedAskSwitch  # noqa: E402
 from repro.transport.reference import reference_mode  # noqa: E402
 
 #: The benchmark scenario.  Fixed so numbers are comparable across runs and
 #: machines; change it only together with the checked-in baseline JSON.
 FULL = dict(
     hosts=4, tuples_per_sender=20_000, window=256, num_keys=512, seed=7,
-    dp_batches=40,
     sharded_racks=16, sharded_shards=4, sharded_tuples=8_000,
 )
 SMOKE = dict(
     hosts=3, tuples_per_sender=2_000, window=64, num_keys=128, seed=7,
-    dp_batches=8,
     sharded_racks=4, sharded_shards=2, sharded_tuples=400,
 )
-
-#: Data-plane microbench shape: wide same-instant batches, one tuple per
-#: packet, distinct channels so the vector sweep engages fully.
-DP_LANES = 256
-DP_WARMUP = 5
 
 
 def build_streams(params: dict) -> dict[str, list[tuple[bytes, int]]]:
@@ -97,7 +78,7 @@ def build_streams(params: dict) -> dict[str, list[tuple[bytes, int]]]:
     }
 
 
-def run_scenario(params: dict, switch_factory=None) -> dict:
+def run_scenario(params: dict) -> dict:
     """One full aggregation; returns timing plus the decision fingerprint."""
     config = AskConfig.small(
         window_size=params["window"], retransmit_timeout_us=50.0
@@ -109,8 +90,7 @@ def run_scenario(params: dict, switch_factory=None) -> dict:
         max_extra_delay_ns=200_000,
         seed=params["seed"],
     )
-    kwargs = {"switch_factory": switch_factory} if switch_factory is not None else {}
-    service = AskService(config, hosts=params["hosts"], fault=fault, **kwargs)
+    service = AskService(config, hosts=params["hosts"], fault=fault)
     streams = build_streams(params)
     receiver = f"h{params['hosts'] - 1}"
 
@@ -284,105 +264,6 @@ def run_sharded_scenario(params: dict) -> dict:
     }
 
 
-def _build_synthetic_batches(config, params: dict) -> list[list]:
-    from repro.core.packer import pack_stream
-    from repro.core.packet import AskPacket, PacketFlag
-
-    rng = random.Random(params["seed"])
-    keys = [("k%03d" % i).encode() for i in range(params["num_keys"])]
-    batches = []
-    # Warmup plus TWO disjoint timed sets: repetitions must carry fresh
-    # sequence numbers, or the second rep measures the duplicate-drop
-    # path instead of aggregation.
-    for seq in range(DP_WARMUP + 2 * params["dp_batches"]):
-        packets = []
-        for lane in range(DP_LANES):
-            payloads, _ = pack_stream(
-                [(rng.choice(keys), rng.randint(1, 99))], config
-            )
-            payload = payloads[0]
-            flags = PacketFlag.DATA | (
-                PacketFlag.LONG if payload.is_long else PacketFlag(0)
-            )
-            packets.append(
-                AskPacket(
-                    flags=flags,
-                    task_id=1,
-                    src=f"h{lane}",
-                    dst="h1",
-                    channel_index=0,
-                    seq=seq,
-                    bitmap=payload.bitmap,
-                    slots=payload.slots,
-                )
-            )
-        batches.append(packets)
-    return batches
-
-
-def bench_data_plane(params: dict) -> dict:
-    """The switch data plane in isolation: scalar compiled program vs the
-    SoA batch engine over identical wide batches — no links, no
-    retransmission machinery, just dedup + aggregation + window
-    accounting.  Distinct channels per lane keep every lane in the vector
-    sweep, so this is the engine's best case."""
-    from repro.net.simulator import Simulator
-    from repro.switch.switch import AskSwitch
-
-    config = AskConfig.small(window_size=params["window"])
-    batches = _build_synthetic_batches(config, params)
-    count = params["dp_batches"]
-    warm = batches[:DP_WARMUP]
-    timed_a = batches[DP_WARMUP : DP_WARMUP + count]
-    timed_b = batches[DP_WARMUP + count :]
-    packets = sum(len(batch) for batch in timed_a)
-
-    scalar = AskSwitch(config, Simulator(), max_tasks=4, max_channels=2 * DP_LANES)
-    scalar.controller.allocate_region(1, size=32)
-    for batch in warm:
-        for pkt in batch:
-            scalar.program.process(scalar.pipeline.begin_pass(), pkt)
-
-    vector = VectorizedAskSwitch(
-        config, Simulator(), max_tasks=4, max_channels=2 * DP_LANES
-    )
-    vector.controller.allocate_region(1, size=32)
-    for batch in warm:
-        vector.program.process_batch(batch)
-
-    def time_scalar(timed) -> float:
-        start = time.perf_counter()
-        for batch in timed:
-            for pkt in batch:
-                scalar.program.process(scalar.pipeline.begin_pass(), pkt)
-        return time.perf_counter() - start
-
-    def time_vector(timed) -> float:
-        start = time.perf_counter()
-        for batch in timed:
-            vector.program.process_batch(batch)
-        return time.perf_counter() - start
-
-    # ABBA order, best-of-2 each: the vector/scalar ratio is the gated
-    # number, and a machine that slows down mid-leg (burst credits,
-    # thermal) must not bias whichever engine happened to run second.
-    # Each rep consumes its own disjoint timed set — fresh seqs, so both
-    # reps measure aggregation, not dedup drops.
-    scalar_walls = [time_scalar(timed_a)]
-    vector_walls = [time_vector(timed_a), time_vector(timed_b)]
-    scalar_walls.append(time_scalar(timed_b))
-    scalar_pps = packets / min(scalar_walls)
-    vector_pps = packets / min(vector_walls)
-
-    return {
-        "lanes_per_batch": DP_LANES,
-        "timed_batches": len(timed_a),
-        "scalar_packets_per_sec": round(scalar_pps, 1),
-        "vector_packets_per_sec": round(vector_pps, 1),
-        "vector_vs_scalar": round(vector_pps / scalar_pps, 3),
-    }
-
-
 def load_history(path: Path) -> list[dict]:
     """Prior speedup-trajectory entries recorded in ``path``.
 
@@ -468,22 +349,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{reference['events_per_sec']:>10,.0f} ev/s  "
         f"{reference['packets_per_sec']:>9,.0f} pkt/s"
     )
-    vectorized = run_scenario(params, switch_factory=VectorizedAskSwitch)
-    print(
-        f"vectorized: {vectorized['wall_seconds']:8.3f}s  "
-        f"{vectorized['events_per_sec']:>10,.0f} ev/s  "
-        f"{vectorized['packets_per_sec']:>9,.0f} pkt/s"
-    )
-    data_plane = bench_data_plane(params)
-    print(
-        f"data plane: scalar {data_plane['scalar_packets_per_sec']:>9,.0f} pkt/s  "
-        f"vector {data_plane['vector_packets_per_sec']:>9,.0f} pkt/s  "
-        f"({data_plane['vector_vs_scalar']}x)"
-    )
 
     repeat_identical = optimized["fingerprint"] == repeat["fingerprint"]
     reference_identical = optimized["fingerprint"] == reference["fingerprint"]
-    vectorized_identical = optimized["fingerprint"] == vectorized["fingerprint"]
     speedup_events = round(
         optimized["events_per_sec"] / reference["events_per_sec"], 3
     )
@@ -499,8 +367,6 @@ def main(argv: list[str] | None = None) -> int:
         "optimized": optimized,
         "optimized_repeat": repeat,
         "reference": reference,
-        "vectorized": vectorized,
-        "data_plane": data_plane,
         "sharded": sharded,
         "speedup": {
             "events_per_sec": speedup_events,
@@ -509,17 +375,10 @@ def main(argv: list[str] | None = None) -> int:
         "determinism": {
             "repeat_identical": repeat_identical,
             "reference_identical": reference_identical,
-            "vectorized_identical": vectorized_identical,
             "sharded_identical": sharded["identical"],
         },
     }
     history = load_history(args.output)
-    floor = history[-1]["packets_per_sec"] if history else None
-    data_plane["floor_packets_per_sec"] = floor
-    if floor:
-        data_plane["vector_vs_floor"] = round(
-            data_plane["vector_packets_per_sec"] / floor, 3
-        )
     report["history"] = history + [
         {
             "mode": report["mode"],
@@ -528,14 +387,6 @@ def main(argv: list[str] | None = None) -> int:
             "reference_packets_per_sec": reference["packets_per_sec"],
             "speedup_packets_per_sec": speedup_packets,
             "speedup_events_per_sec": speedup_events,
-            "vectorized_packets_per_sec": vectorized["packets_per_sec"],
-            "data_plane_scalar_packets_per_sec": data_plane[
-                "scalar_packets_per_sec"
-            ],
-            "data_plane_vector_packets_per_sec": data_plane[
-                "vector_packets_per_sec"
-            ],
-            "data_plane_vector_vs_floor": data_plane.get("vector_vs_floor"),
             "sharded_packets_per_sec": sharded["packets_per_sec"],
             "sharded_vs_serial": sharded["sharded_vs_serial"],
             "sharded_cpus": sharded["cpus"],
@@ -554,20 +405,11 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: optimized fast path diverges from the seed reference",
               file=sys.stderr)
         return 2
-    if not vectorized_identical:
-        for key in optimized["fingerprint"]:
-            a = optimized["fingerprint"][key]
-            b = vectorized["fingerprint"][key]
-            if a != b:
-                print(f"  {key}: scalar={a} vectorized={b}", file=sys.stderr)
-        print("FAIL: vectorized backend diverges from the scalar oracle",
-              file=sys.stderr)
-        return 2
     if not sharded["identical"]:
         print("FAIL: sharded simulator diverges from the serial oracle",
               file=sys.stderr)
         return 2
-    print("determinism guard: OK (4 runs + sharded leg, identical fingerprints)")
+    print("determinism guard: OK (3 runs + sharded leg, identical fingerprints)")
     return 0
 
 

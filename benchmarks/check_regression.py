@@ -2,25 +2,26 @@
 """Fail CI on a hot-path performance regression.
 
 Absolute packets/s depend entirely on the runner (shared CI machines vary
-by 2x between runs), so gating on them would flap.  Each leg's
-optimized/reference-style *ratio* does not: ``bench_hotpath.py`` measures
-both sides of every ratio in the same process on the same machine, so
-machine noise cancels and the ratio tracks only what the code does.  The
-gate compares each fresh ratio against the **best value that leg ever
-recorded** in the checked-in baseline's history — not merely the latest —
-so a slow decay across PRs cannot ratchet the floor down with it.  A
-ratio may drop at most ``--tolerance`` (default 20%) below its best
-historical value — doubled when the fresh report's mode differs from the
-baseline's (CI's smoke run vs the checked-in full baseline: ratios
-shrink with the scenario, so cross-mode comparisons get slack while
-still catching catastrophic regressions):
+by 2x between runs), so gating on them would flap.  The
+optimized/reference *ratio* does not: ``bench_hotpath.py`` measures both
+sides of it in the same process on the same machine, so machine noise
+cancels and the ratio tracks only what the code does.  The gate compares
+the fresh ratio against the **best value it ever recorded** in the
+checked-in baseline's history — not merely the latest — so a slow decay
+across PRs cannot ratchet the floor down with it.  The ratio may drop at
+most ``--tolerance`` (default 20%) below its best historical value —
+doubled when the fresh report's mode differs from the baseline's (CI's
+smoke run vs the checked-in full baseline: ratios shrink with the
+scenario, so cross-mode comparisons get slack while still catching
+catastrophic regressions):
 
 ``hotpath_speedup``
     optimized vs seed-reference packets/s on the lossy 4-host scenario
     (``speedup.packets_per_sec`` / ``speedup_packets_per_sec``).
-``data_plane_ratio``
-    SoA batch engine vs scalar compiled program on identical wide
-    batches (``vector_packets_per_sec / scalar_packets_per_sec``).
+
+History entries recorded while the repo still had a vectorized data
+plane also carry ``vectorized_packets_per_sec`` and ``data_plane_*``
+fields; the gate reads past them, and the history is never rewritten.
 
 The sharded full-scenario leg gets one additional *absolute* gate, full
 mode only (the smoke workload is too small for rates to mean anything):
@@ -32,13 +33,11 @@ claim of the sharded backend stated as a number; the report's recorded
 ``cpus``/``execution`` fields say what hardware produced it.
 
 The determinism flags are enforced too: a report whose runs disagree is
-a correctness failure regardless of speed.  ``vectorized_identical``
-asserts the SoA batch engine matched the scalar oracle byte-for-byte;
-``sharded_identical`` asserts the rack-sharded conservative PDES run
-matched the one-process serial oracle on **every** run of the best-of-2
-— ``values_sha256``, all per-link counters, drop/dedup totals — so a
-sharding bug fails CI even though the tier-1 suite may not cover that
-exact packet schedule.
+a correctness failure regardless of speed.  ``sharded_identical``
+asserts the rack-sharded conservative PDES run matched the one-process
+serial oracle on **every** run of the best-of-2 — ``values_sha256``,
+all per-link counters, drop/dedup totals — so a sharding bug fails CI
+even though the tier-1 suite may not cover that exact packet schedule.
 
 Usage::
 
@@ -97,36 +96,8 @@ def _entry_hotpath_speedup(entry: dict) -> float | None:
     return float(value) if isinstance(value, (int, float)) else None
 
 
-def _entry_data_plane_ratio(entry: dict) -> float | None:
-    vector = entry.get("data_plane_vector_packets_per_sec")
-    scalar = entry.get("data_plane_scalar_packets_per_sec")
-    if (
-        isinstance(vector, (int, float))
-        and isinstance(scalar, (int, float))
-        and scalar > 0
-    ):
-        return float(vector) / float(scalar)
-    return None
-
-
 def _fresh_hotpath_speedup(report: dict) -> float:
     return float(report["speedup"]["packets_per_sec"])
-
-
-def _fresh_data_plane_ratio(report: dict) -> float | None:
-    data_plane = report.get("data_plane")
-    if not isinstance(data_plane, dict):
-        return None
-    return _entry_data_plane_ratio(
-        {
-            "data_plane_vector_packets_per_sec": data_plane.get(
-                "vector_packets_per_sec"
-            ),
-            "data_plane_scalar_packets_per_sec": data_plane.get(
-                "scalar_packets_per_sec"
-            ),
-        }
-    )
 
 
 #: The ratio legs: name -> (extract-from-fresh-report, extract-from-history-entry).
@@ -134,7 +105,6 @@ def _fresh_data_plane_ratio(report: dict) -> float | None:
 #: (reports predating it) is skipped, never failed.
 RATIO_LEGS = {
     "hotpath_speedup": (_fresh_hotpath_speedup, _entry_hotpath_speedup),
-    "data_plane_ratio": (_fresh_data_plane_ratio, _entry_data_plane_ratio),
 }
 
 
@@ -178,7 +148,6 @@ def main(argv: list[str] | None = None) -> int:
     for flag in (
         "repeat_identical",
         "reference_identical",
-        "vectorized_identical",
         "sharded_identical",
     ):
         if not determinism.get(flag):

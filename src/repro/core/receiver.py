@@ -241,8 +241,13 @@ class ReceiverEngine:
         self._send_swaps(state)
 
     def _send_swaps(self, state: ReceiverTaskState) -> None:
-        """(Re)notify every switch that has not acknowledged this epoch."""
-        for switch_name in state.swap_acks_pending:
+        """(Re)notify every switch that has not acknowledged this epoch.
+
+        Sorted, not set order: a set of names iterates in string-hash
+        order, which varies with ``PYTHONHASHSEED`` and would make the
+        event schedule of a multi-switch task differ between interpreters.
+        """
+        for switch_name in sorted(state.swap_acks_pending):
             self.send_fn(
                 swap_packet(state.task.task_id, self.host, switch_name, state.swap_epoch)
             )

@@ -41,6 +41,17 @@ Two scheduling fast paths feed the compiled packet pipeline:
   The drain therefore runs heap entries whose time equals ``now`` *before*
   the FIFO — they are the older schedules — and only then the FIFO, whose
   callbacks can never add heap entries at the current instant.
+
+:meth:`Simulator.run` is one inlined loop for every drive mode — full
+drain, bounded ``until`` (the sharded window step), an event budget, or
+both.  Each iteration picks the next entry (heap at ``now``, then the
+FIFO, then the heap head, advancing the clock only if the head lies
+within ``until``) and dispatches it with the bookkeeping inlined.  An
+absent bound is a sentinel far beyond any time or count, so ``until``
+costs one integer compare per clock advance and ``max_events`` one per
+iteration; only once the budget is spent does the loop look ahead to
+tell a live due event (raise, leaving it queued) from cancelled or
+out-of-window leftovers (finish normally).
 """
 
 from __future__ import annotations
@@ -62,6 +73,11 @@ _COMPACT_MIN_CANCELLED = 64
 _SHARD_SEQ_BITS = 48
 _SHARD_RANK_BITS = 16
 _SHARD_TIME_SHIFT = _SHARD_SEQ_BITS + _SHARD_RANK_BITS
+
+#: Stand-in for "no bound" in :meth:`Simulator.run`, so that ``until`` and
+#: ``max_events`` each cost one integer compare instead of a ``None`` test
+#: plus a compare.  Far beyond any simulated time or event count.
+_UNBOUNDED = 1 << 200
 
 
 class SimulationError(RuntimeError):
@@ -138,9 +154,6 @@ class ShardContextCall:
     one of these so an executing event re-establishes its owning shard's
     context before running; the serial boundary shim wraps cross-shard
     deliveries a second time to re-home them to the destination shard.
-    Equality delegates to ``(rank, callback)`` so batch-feeder identity
-    checks coalesce consecutive deliveries exactly as the plain
-    callbacks would.
     """
 
     __slots__ = ("_sim", "rank", "callback")
@@ -153,16 +166,6 @@ class ShardContextCall:
     def __call__(self, *args: Any) -> None:
         self._sim._shard_rank = self.rank
         self.callback(*args)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is ShardContextCall
-            and self.rank == other.rank
-            and self.callback == other.callback
-        )
-
-    def __hash__(self) -> int:
-        return hash((ShardContextCall, self.rank, self.callback))
 
 
 class Simulator:
@@ -193,11 +196,6 @@ class Simulator:
         self._live = 0  #: non-cancelled events currently queued
         self._cancelled_in_heap = 0
         self.compactions = 0
-        #: the single open coalescing bucket, or None:
-        #: [deliver, time_ns, items, feeder_cb] (see call_at_batch).
-        self._open_batch: Optional[list] = None
-        #: callback of the event currently executing (batch feeder identity).
-        self._current_cb: Any = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -272,58 +270,6 @@ class Simulator:
         self._live += 1
 
     # ------------------------------------------------------------------
-    # Batch coalescing
-    # ------------------------------------------------------------------
-    def call_at_batch(self, time_ns: int, deliver: Callable[[list], Any], item: Any) -> None:
-        """Coalesce ``item`` into one ``deliver(items)`` call at the
-        current instant.
-
-        The bucket absorbs items only across *consecutive* events that
-        share the current event's callback — in practice, back-to-back
-        deliveries on one link at one timestamp.  The event loop flushes
-        the bucket (a direct ``deliver(items)`` call, not a scheduled
-        event) the moment any other event is about to run, the clock is
-        about to advance, or the queues drain.  Because a buffered
-        delivery schedules nothing, every future event the batch produces
-        is pushed at exactly the point in the execution sequence where a
-        per-item consumer would have pushed it — same-timestamp FIFO
-        tie-breaking downstream is preserved bit-for-bit.
-
-        ``deliver`` receives the items in append order (heap delivery
-        order).  Only the current instant may be batched; anything else
-        raises :class:`SimulationError`.
-        """
-        time_ns = int(time_ns)
-        if time_ns != self.now:
-            raise SimulationError(
-                f"can only batch at the current instant t={self.now}, got t={time_ns}"
-            )
-        ob = self._open_batch
-        if ob is not None:
-            if ob[0] == deliver and ob[1] == time_ns:
-                ob[2].append(item)
-                return
-            self._flush_open()  # defensive: a different consumer's bucket
-        self._open_batch = [deliver, time_ns, [item], self._current_cb]
-
-    def _flush_open(self) -> None:
-        """Deliver the open bucket now (direct call, not an event)."""
-        ob = self._open_batch
-        assert ob is not None
-        self._open_batch = None
-        ob[0](ob[2])
-
-    def flush_batches(self, deliver: Callable[[list], Any]) -> None:
-        """Deliver ``deliver``'s pending bucket immediately, if any.
-
-        Used by consumers that must observe their batched items *now* —
-        e.g. a switch about to serve a control-plane read, or crashing.
-        """
-        ob = self._open_batch
-        if ob is not None and ob[0] == deliver:
-            self._flush_open()
-
-    # ------------------------------------------------------------------
     # Cancellation bookkeeping
     # ------------------------------------------------------------------
     def _on_cancel(self) -> None:
@@ -353,28 +299,18 @@ class Simulator:
     def _run_entry(self, entry: tuple) -> bool:
         """Execute one queue/heap entry; False if it was a cancelled event."""
         if len(entry) == 4:
-            cb = entry[2]
-            ob = self._open_batch
-            if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                self._flush_open()
             self._live -= 1
             self._events_processed += 1
-            self._current_cb = cb
-            cb(*entry[3])
+            entry[2](*entry[3])
             return True
         event = entry[2]
         if event.cancelled:
             self._cancelled_in_heap -= 1
             return False
-        cb = event.callback
-        ob = self._open_batch
-        if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-            self._flush_open()
         self._live -= 1
         event._sim = None
         self._events_processed += 1
-        self._current_cb = cb
-        cb(*event.args)
+        event.callback(*event.args)
         return True
 
     # ------------------------------------------------------------------
@@ -392,15 +328,13 @@ class Simulator:
         while queue:
             if self._run_entry(queue.popleft()):
                 return True
-        if self._open_batch is not None:
-            # Progress: deliver the coalesced batch before the clock moves.
-            self._flush_open()
-            return True
         while heap:
             entry = heapq.heappop(heap)
+            if len(entry) == 3 and entry[2].cancelled:
+                self._cancelled_in_heap -= 1
+                continue
             self.now = entry[0]
-            if self._run_entry(entry):
-                return True
+            return self._run_entry(entry)
         return False
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
@@ -411,239 +345,76 @@ class Simulator:
         still run.  ``max_events`` guards against accidental livelock in
         tests; it counts events processed *by this call* (cancelled events
         that are merely discarded do not count, and queues holding only
-        cancelled events drain normally).
+        cancelled events drain normally).  A run that would exceed it
+        raises :class:`SimulationError` before popping the next live event,
+        so that event stays pending and a later ``run`` picks it up.
         """
         heap = self._heap
         queue = self._now_queue
         heappop = heapq.heappop
-        start = self._events_processed
-        if until is None and max_events is None:
-            # The common full-drain loop, with bookkeeping inlined.  Heap
-            # entries at the current instant run before the FIFO (they hold
-            # the older order tickets); the FIFO then drains every
-            # same-instant burst without re-heapifying (its callbacks can
-            # only append to the FIFO, never to the heap at ``now``).
-            while True:
-                while heap and heap[0][0] == self.now:
-                    entry = heappop(heap)
-                    if len(entry) == 4:
-                        cb = entry[2]
-                        ob = self._open_batch
-                        if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                            self._flush_open()
-                        self._live -= 1
-                        self._events_processed += 1
-                        self._current_cb = cb
-                        cb(*entry[3])
-                        continue
-                    event = entry[2]
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    cb = event.callback
-                    ob = self._open_batch
-                    if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                        self._flush_open()
-                    self._live -= 1
-                    event._sim = None
-                    self._events_processed += 1
-                    self._current_cb = cb
-                    cb(*event.args)
-                if queue:
-                    entry = queue.popleft()
-                    if len(entry) == 4:
-                        cb = entry[2]
-                        ob = self._open_batch
-                        if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                            self._flush_open()
-                        self._live -= 1
-                        self._events_processed += 1
-                        self._current_cb = cb
-                        cb(*entry[3])
-                        continue
-                    event = entry[2]
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    cb = event.callback
-                    ob = self._open_batch
-                    if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                        self._flush_open()
-                    self._live -= 1
-                    event._sim = None
-                    self._events_processed += 1
-                    self._current_cb = cb
-                    cb(*event.args)
-                    continue
-                if self._open_batch is not None:
-                    # Flush before the clock moves: the batch's emissions
-                    # must be scheduled relative to the bucket's instant,
-                    # and may land before the next heap entry.
-                    self._flush_open()
-                    continue
-                if not heap:
-                    return
-                entry = heappop(heap)
-                if len(entry) == 4:
-                    self._live -= 1
-                    self.now = entry[0]
-                    self._events_processed += 1
-                    self._current_cb = entry[2]
-                    entry[2](*entry[3])
-                    continue
-                event = entry[2]
-                if event.cancelled:
-                    self._cancelled_in_heap -= 1
-                    continue
-                self._live -= 1
-                event._sim = None
-                self.now = entry[0]
-                self._events_processed += 1
-                self._current_cb = event.callback
-                event.callback(*event.args)
-        if max_events is None:
-            # Bounded drain without an event budget — the conservative-PDES
-            # window workhorse (drain_until calls this once per shard per
-            # barrier), inlined exactly like the full-drain loop above so a
-            # sharded replica pays the same per-event cost as the serial
-            # oracle.
-            assert until is not None
-            while True:
-                while heap and heap[0][0] == self.now:
-                    entry = heappop(heap)
-                    if len(entry) == 4:
-                        cb = entry[2]
-                        ob = self._open_batch
-                        if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                            self._flush_open()
-                        self._live -= 1
-                        self._events_processed += 1
-                        self._current_cb = cb
-                        cb(*entry[3])
-                        continue
-                    event = entry[2]
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    cb = event.callback
-                    ob = self._open_batch
-                    if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                        self._flush_open()
-                    self._live -= 1
-                    event._sim = None
-                    self._events_processed += 1
-                    self._current_cb = cb
-                    cb(*event.args)
-                if queue:
-                    entry = queue.popleft()
-                    if len(entry) == 4:
-                        cb = entry[2]
-                        ob = self._open_batch
-                        if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                            self._flush_open()
-                        self._live -= 1
-                        self._events_processed += 1
-                        self._current_cb = cb
-                        cb(*entry[3])
-                        continue
-                    event = entry[2]
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    cb = event.callback
-                    ob = self._open_batch
-                    if ob is not None and (entry[0] != ob[1] or cb != ob[3]):
-                        self._flush_open()
-                    self._live -= 1
-                    event._sim = None
-                    self._events_processed += 1
-                    self._current_cb = cb
-                    cb(*event.args)
-                    continue
-                if self._open_batch is not None:
-                    self._flush_open()
-                    continue
-                if not heap:
-                    break
-                head = heap[0]
-                if len(head) == 3 and head[2].cancelled:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                head_time = head[0]
-                if head_time > until:
-                    self.now = until
-                    return
-                heappop(heap)
-                self.now = head_time
-                if len(head) == 4:
-                    self._live -= 1
-                    self._events_processed += 1
-                    self._current_cb = head[2]
-                    head[2](*head[3])
-                    continue
-                event = head[2]
-                self._live -= 1
-                event._sim = None
-                self._events_processed += 1
-                self._current_cb = event.callback
-                event.callback(*event.args)
-            if self.now < until:
-                self.now = until
-            return
+        popleft = queue.popleft
+        horizon = _UNBOUNDED if until is None else int(until)
+        limit = _UNBOUNDED if max_events is None else self._events_processed + max_events
         while True:
-            # Heap entries at the current instant predate every FIFO entry
-            # (they were pushed while ``now`` was still behind this instant)
-            # and ``now <= until`` by invariant, so they run first.
-            while heap and heap[0][0] == self.now:
-                head = heap[0]
-                if len(head) == 3 and head[2].cancelled:
-                    heappop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                if max_events is not None and self._events_processed - start >= max_events:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events} at t={self.now}"
-                    )
-                self._run_entry(heappop(heap))
-            if queue:
-                # FIFO entries are at time ``now`` (<= until by invariant).
-                entry = queue[0]
-                if len(entry) == 3 and entry[2].cancelled:
-                    queue.popleft()
-                    self._cancelled_in_heap -= 1
-                    continue
-                if max_events is not None and self._events_processed - start >= max_events:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events} at t={self.now}"
-                    )
-                self._run_entry(queue.popleft())
-                continue
-            if self._open_batch is not None:
-                # Flush before the clock moves (or the run ends): the
-                # batch's emissions belong to the bucket's instant.
-                self._flush_open()
-                continue
-            if not heap:
-                break
-            head = heap[0]
-            if len(head) == 3 and head[2].cancelled:
-                heappop(heap)
-                self._cancelled_in_heap -= 1
-                continue
-            head_time = head[0]
-            if until is not None and head_time > until:
-                self.now = until
-                return
-            if max_events is not None and self._events_processed - start >= max_events:
+            if self._events_processed >= limit and self._live_due(horizon):
                 raise SimulationError(
                     f"simulation exceeded max_events={max_events} at t={self.now}"
                 )
-            heappop(heap)
-            self.now = head_time
-            self._run_entry(head)
+            # Heap entries at the current instant run before the FIFO (they
+            # hold the older order tickets); the FIFO then drains every
+            # same-instant burst without re-heapifying (its callbacks can
+            # only append to the FIFO, never to the heap at ``now``).  Only
+            # then does the clock advance to the heap head.
+            if heap and heap[0][0] == self.now:
+                entry = heappop(heap)
+            elif queue:
+                entry = popleft()
+            elif heap:
+                entry = heap[0]
+                if entry[0] > horizon:
+                    break
+                heappop(heap)
+                if len(entry) == 3 and entry[2].cancelled:
+                    self._cancelled_in_heap -= 1
+                    continue
+                self.now = entry[0]
+            else:
+                break
+            if len(entry) == 4:
+                self._live -= 1
+                self._events_processed += 1
+                entry[2](*entry[3])
+                continue
+            event = entry[2]
+            if event.cancelled:
+                self._cancelled_in_heap -= 1
+                continue
+            self._live -= 1
+            event._sim = None
+            self._events_processed += 1
+            event.callback(*event.args)
         if until is not None and self.now < until:
             self.now = until
+
+    def _live_due(self, horizon: int) -> bool:
+        """Whether a live event at or before ``horizon`` is queued.
+
+        Only consulted once a run's event budget is spent, to tell a run
+        that would exceed it from one whose remaining entries are all
+        cancelled or beyond ``until``.  Discards cancelled heads on the
+        way, as the run loop itself would.
+        """
+        heap = self._heap
+        while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
+            heapq.heappop(heap)
+            self._cancelled_in_heap -= 1
+        if heap and heap[0][0] == self.now:
+            return True
+        queue = self._now_queue
+        while queue and len(queue[0]) == 3 and queue[0][2].cancelled:
+            queue.popleft()
+            self._cancelled_in_heap -= 1
+        return bool(queue) or (bool(heap) and heap[0][0] <= horizon)
 
     # ------------------------------------------------------------------
     # Sharded execution hooks (conservative PDES — see repro.net.sharded)
@@ -865,7 +636,7 @@ class Simulator:
         live lower bound — the safe-horizon math of a sharded run must not
         stretch a window to a timer that will never fire.
         """
-        if self._now_queue or self._open_batch is not None:
+        if self._now_queue:
             return self.now
         heap = self._heap
         while heap:
@@ -915,13 +686,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued.  O(1).
-
-        An open coalescing bucket counts as one pending unit of work, so
-        completion checks cannot declare a run finished while batched
-        packets still await their flush.
-        """
-        return self._live + (1 if self._open_batch is not None else 0)
+        """Number of live (non-cancelled) events still queued.  O(1)."""
+        return self._live
 
     @property
     def events_processed(self) -> int:

@@ -242,7 +242,7 @@ def decode_packet(data: bytes) -> AskPacket:
 
 
 # ---------------------------------------------------------------------------
-# Batch framing for the vectorized wire path.
+# Batch framing: several datagrams in one length-prefixed container.
 #
 # A batch container is ``count(!I)`` followed by ``count`` frames, each
 # prefixed with its byte length (``!I``).  Each frame is one ordinary

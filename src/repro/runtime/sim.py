@@ -27,7 +27,7 @@ from repro.net.fault import (
 )
 from repro.net.link import Link
 from repro.net.multirack import MultiRackTopology, RackView, SpineView
-from repro.net.simulator import Simulator
+from repro.net.simulator import Simulator, paused_gc
 from repro.net.topology import NetworkNode, StarTopology
 from repro.net.trace import PacketTrace
 from repro.runtime.interfaces import Node
@@ -85,7 +85,13 @@ class _CorruptionWindow:
 
 
 class SimRunner:
-    """Run-to-completion driver over one :class:`Simulator`."""
+    """Run-to-completion driver over one :class:`Simulator`.
+
+    Every drain runs with the cyclic GC paused (:func:`paused_gc`), as the
+    sharded runners do: the event churn is reclaimed by reference counting,
+    and mid-run generation scans cost wall time while finding next to
+    nothing to free.
+    """
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -93,7 +99,8 @@ class SimRunner:
     def run(
         self, until: Optional[int] = None, max_events: Optional[int] = None
     ) -> None:
-        self.sim.run(until=until, max_events=max_events)
+        with paused_gc():
+            self.sim.run(until=until, max_events=max_events)
 
     def run_until(
         self,
@@ -105,10 +112,12 @@ class SimRunner:
         # task completed (done() now holds) or progress is impossible and
         # the caller reports the stall.  ``timeout_s`` is wall-clock and
         # meaningless under simulated time.
-        self.sim.run(max_events=max_events)
+        with paused_gc():
+            self.sim.run(max_events=max_events)
 
     def run_forever(self) -> None:
-        self.sim.run()
+        with paused_gc():
+            self.sim.run()
 
 
 class SimFabric:

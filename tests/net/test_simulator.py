@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.simulator import (
     NS_PER_S,
@@ -229,132 +231,110 @@ def test_time_unit_helpers():
     assert to_seconds(seconds(3.25)) == pytest.approx(3.25)
 
 
+
+def test_exceeded_budget_leaves_the_next_event_pending():
+    sim = Simulator()
+    fired = []
+    for label in range(5):
+        sim.schedule(label + 1, fired.append, label)
+    with pytest.raises(SimulationError, match="max_events=3"):
+        sim.run(max_events=3)
+    assert fired == [0, 1, 2]
+    assert sim.now == 3  # the clock did not advance to the unrun event
+    assert sim.pending == 2
+    sim.run()
+    assert fired == [0, 1, 2, 3, 4]
+    assert sim.events_processed == 5
+
+
+def test_budget_is_not_spent_by_events_beyond_until():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1, fired.append, "in")
+    sim.schedule(10, fired.append, "out")
+    sim.run(until=5, max_events=1)  # the budget is exactly used up
+    assert fired == ["in"]
+    assert sim.now == 5
+
+
 # ---------------------------------------------------------------------------
-# Batch coalescing (call_at_batch / flush_batches) — the primitive the
-# vectorized switch uses to gather back-to-back deliveries into one sweep.
-# The contract is push-order exactness: the bucket absorbs items only
-# across consecutive events sharing one callback, and flushes the moment
-# any other event runs, the clock advances, or the queues drain — so
-# everything the batch schedules lands in the heap exactly where a
-# per-item consumer would have pushed it.
+# One loop, every drive mode: a full drain, an event budget, ``until``
+# cut-offs, budget-sized chunks and single steps must all fire the same
+# callbacks in the same order.
 # ---------------------------------------------------------------------------
 
+_VIAS = ("schedule", "at", "call_later", "call_at")
 
-def test_call_at_batch_coalesces_items_from_one_event():
+_op = st.tuples(
+    st.integers(0, 20),  # delay of the initial push
+    st.sampled_from(_VIAS),
+    st.lists(st.integers(0, 4), max_size=3),  # child delays; 0 = same-instant burst
+    st.none() | st.integers(0, 10_000),  # handle to cancel when this fires
+)
+
+
+def _drive(ops, cancel_up_front, mode, cuts):
     sim = Simulator()
-    batches = []
+    fired = []
+    handles = []
+    labels = iter(range(1 << 30))
 
-    def feed():
-        for item in ("a", "b", "c"):
-            sim.call_at_batch(sim.now, batches.append, item)
+    def push(index, delay, depth):
+        label = next(labels)
+        via = ops[index][1]
+        if via == "schedule":
+            handles.append(sim.schedule(delay, fire, label, index, depth))
+        elif via == "at":
+            handles.append(sim.at(sim.now + delay, fire, label, index, depth))
+        elif via == "call_later":
+            sim.call_later(delay, fire, label, index, depth)
+        else:
+            sim.call_at(sim.now + delay, fire, label, index, depth)
 
-    sim.schedule(10, feed)
-    sim.run()
-    assert batches == [["a", "b", "c"]]
+    def fire(label, index, depth):
+        fired.append((sim.now, label))
+        _, _, children, cancel = ops[index]
+        if cancel is not None and handles:
+            handles[cancel % len(handles)].cancel()
+        if depth < 2:
+            for k, child_delay in enumerate(children):
+                push((index + k + 1) % len(ops), child_delay, depth + 1)
 
+    for index, op in enumerate(ops):
+        push(index, op[0], 0)
+    for i in cancel_up_front:
+        if handles:
+            handles[i % len(handles)].cancel()
 
-def test_call_at_batch_coalesces_across_consecutive_same_callback_events():
-    """Back-to-back deliveries at one instant through the same callback —
-    a same-link burst — ride one bucket."""
-    sim = Simulator()
-    batches = []
-
-    def feed(item):
-        sim.call_at_batch(sim.now, batches.append, item)
-
-    sim.schedule(10, feed, "p1")
-    sim.schedule(10, feed, "p2")
-    sim.schedule(10, feed, "p3")
-    sim.run()
-    assert batches == [["p1", "p2", "p3"]]
-
-
-def test_foreign_event_flushes_the_open_bucket_first():
-    """An interleaved event with a different callback sees the batch's
-    effects already delivered — exactly the order a per-packet consumer
-    would have produced."""
-    sim = Simulator()
-    order = []
-    deliver = lambda items: order.append(("batch", items))  # noqa: E731
-
-    def feed(item):
-        sim.call_at_batch(sim.now, deliver, item)
-
-    sim.schedule(10, feed, "p1")
-    sim.schedule(10, feed, "p2")
-    sim.schedule(10, order.append, "foreign")
-    sim.schedule(10, feed, "p3")
-    sim.run()
-    assert order == [("batch", ["p1", "p2"]), "foreign", ("batch", ["p3"])]
-
-
-def test_clock_advance_flushes_before_time_moves():
-    sim = Simulator()
-    seen = []
-
-    def feed(item):
-        sim.call_at_batch(sim.now, lambda items: seen.append((sim.now, items)), item)
-
-    sim.schedule(5, feed, "early")
-    sim.schedule(9, feed, "late")
-    sim.run()
-    # Each bucket delivered while the clock still read its own instant.
-    assert seen == [(5, ["early"]), (9, ["late"])]
+    if mode == "run":
+        sim.run()
+    elif mode == "budget":
+        sim.run(max_events=1 << 40)
+    elif mode == "until":
+        for cut in sorted(cuts):
+            sim.run(until=cut)
+        sim.run()
+    elif mode == "chunks":
+        while True:
+            try:
+                sim.run(max_events=3)
+                break
+            except SimulationError:
+                pass
+    else:
+        while sim.step():
+            pass
+    assert sim.pending == 0
+    return fired, sim.events_processed
 
 
-def test_flush_batches_forces_the_pending_bucket_exactly_once():
-    sim = Simulator()
-    seen = []
-    deliver = lambda items: seen.append(list(items))  # noqa: E731
-
-    def feed_then_force():
-        sim.call_at_batch(sim.now, deliver, "x")
-        sim.call_at_batch(sim.now, deliver, "y")
-        sim.flush_batches(deliver)
-        assert seen == [["x", "y"]]
-
-    sim.schedule(3, feed_then_force)
-    sim.run()
-    assert seen == [["x", "y"]]  # nothing fires twice at drain
-
-
-def test_flush_batches_only_touches_the_given_callback():
-    sim = Simulator()
-    seen = []
-    mine = lambda items: seen.append(("mine", list(items)))  # noqa: E731
-    other = lambda items: seen.append(("other", list(items)))  # noqa: E731
-
-    def feed():
-        sim.call_at_batch(sim.now, mine, 1)
-        sim.flush_batches(other)  # someone else's bucket: no effect
-        assert seen == []
-
-    sim.schedule(5, feed)
-    sim.run()
-    assert seen == [("mine", [1])]
-
-
-def test_call_at_batch_rejects_any_other_instant():
-    sim = Simulator()
-    sim.schedule(10, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError, match="current instant"):
-        sim.call_at_batch(5, lambda items: None, "x")  # the past
-    with pytest.raises(SimulationError, match="current instant"):
-        sim.call_at_batch(15, lambda items: None, "x")  # the future
-
-
-def test_step_flushes_an_open_bucket_as_progress():
-    sim = Simulator()
-    batches = []
-
-    def feed():
-        sim.call_at_batch(sim.now, batches.append, "p")
-
-    sim.schedule(2, feed)
-    assert sim.step()  # runs feed, opens the bucket
-    assert batches == []
-    assert sim.pending == 1  # the open bucket counts as pending work
-    assert sim.step()  # flushes the bucket
-    assert batches == [["p"]]
-    assert not sim.step()
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(_op, min_size=1, max_size=25),
+    cancel_up_front=st.lists(st.integers(0, 100), max_size=5),
+    cuts=st.lists(st.integers(0, 60), max_size=4),
+)
+def test_every_drive_mode_fires_the_same_schedule(ops, cancel_up_front, cuts):
+    expected = _drive(ops, cancel_up_front, "run", cuts)
+    for mode in ("budget", "until", "chunks", "step"):
+        assert _drive(ops, cancel_up_front, mode, cuts) == expected, mode

@@ -210,7 +210,7 @@ def test_oversized_key_rejected_on_encode():
 
 
 # ---------------------------------------------------------------------------
-# Batch container framing (the vectorized wire path)
+# Batch container framing
 # ---------------------------------------------------------------------------
 
 
