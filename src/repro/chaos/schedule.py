@@ -29,8 +29,9 @@ from typing import Iterable, List, Sequence, Tuple
 from repro.core.errors import ChaosScheduleError
 
 #: Fault kind -> the event kind that undoes it.  "corrupt" opens a
-#: corruption window on the target (frames it sends/receives are
-#: delivered with flipped bits) and "cleanse" closes it.  "overload"
+#: corruption window on the target (frames it sends, and frames sent to
+#: it by name, are delivered with flipped bits; the sim fabric applies
+#: the window at the sending host's uplink) and "cleanse" closes it.  "overload"
 #: opens an overload window (an abusive tenant floods tasks from the
 #: target host while hoarding switch memory; the drill's on_overload
 #: hook defines the flood) and "relent" closes it (the hoard is

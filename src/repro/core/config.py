@@ -8,7 +8,7 @@ defensive copying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import constants
@@ -81,7 +81,6 @@ class AskConfig:
     # 1.0 (fixed RTO, no RNG draw), no jitter, no give-up deadline.
     failure_detection: bool = False
     heartbeat_interval_us: float = 50.0
-    lease_multiple: int = 3
     retransmit_backoff: float = 1.0
     retransmit_backoff_cap_us: float = 10_000.0
     retransmit_jitter: float = 0.0
@@ -100,8 +99,6 @@ class AskConfig:
     rto_min_us: float = 50.0
     rto_max_us: float = 10_000.0
     gray_detection: bool = False
-    gray_suspicion_threshold: float = 3.0
-    gray_suspicion_decay: float = 0.5
 
     # Data integrity.  When enabled (the default), frames failing their
     # integrity check (CRC32 trailer on the wire codec; the
@@ -183,8 +180,6 @@ class AskConfig:
             raise ConfigError("data_channels_per_host must be >= 1")
         if self.heartbeat_interval_us <= 0:
             raise ConfigError("heartbeat_interval_us must be positive")
-        if self.lease_multiple < 1:
-            raise ConfigError("lease_multiple must be >= 1")
         if self.retransmit_backoff < 1.0:
             raise ConfigError("retransmit_backoff must be >= 1.0")
         if self.retransmit_backoff_cap_us < self.retransmit_timeout_us:
@@ -207,12 +202,6 @@ class AskConfig:
             raise ConfigError(
                 "gray_detection needs the failure supervisor; set "
                 "failure_detection=True"
-            )
-        if self.gray_suspicion_threshold <= 0:
-            raise ConfigError("gray_suspicion_threshold must be positive")
-        if not 0.0 <= self.gray_suspicion_decay < 1.0:
-            raise ConfigError(
-                "gray_suspicion_decay must lie within [0, 1)"
             )
         if self.swap_threshold_packets < 1:
             raise ConfigError("swap_threshold_packets must be >= 1")
@@ -287,12 +276,6 @@ class AskConfig:
     @property
     def heartbeat_interval_ns(self) -> int:
         return int(round(self.heartbeat_interval_us * 1_000))
-
-    @property
-    def lease_ns(self) -> int:
-        """A node whose heartbeats stop for this long is presumed failed
-        (its lease lapses) and its switch regions become reclaimable."""
-        return self.heartbeat_interval_ns * self.lease_multiple
 
     @property
     def rto_min_ns(self) -> int:

@@ -8,7 +8,7 @@ a fault-free run):
 Leases
     Every node (host daemon, ASK switch) is observed on a management path
     each ``heartbeat_interval_ns``; a node continuously dark for
-    ``lease_ns`` (heartbeat × ``lease_multiple``) has *lapsed*.
+    ``lease_ns`` (heartbeat × :data:`LEASE_MULTIPLE`) has *lapsed*.
 
 Switch failover (degrade-to-bypass)
     A switch whose lease lapsed, or that rebooted and awaits state
@@ -47,6 +47,13 @@ from repro.core.sender import SenderChannel
 from repro.core.task import AggregationTask, TaskPhase
 from repro.runtime.interfaces import Clock, TimerHandle
 
+#: Heartbeat intervals a node may stay dark before its lease lapses.
+LEASE_MULTIPLE = 3
+#: Gray suspicion score at which a switch is routed around.
+GRAY_SUSPICION_THRESHOLD = 3.0
+#: Factor a switch's suspicion score decays by on a calm tick.
+GRAY_SUSPICION_DECAY = 0.5
+
 
 class FailureSupervisor:
     """Heartbeat leases, failover and supervised recovery for one deployment."""
@@ -78,7 +85,9 @@ class FailureSupervisor:
             else {host: (tor,) for host, tor in host_tor.items()}
         )
         self.heartbeat_ns = config.heartbeat_interval_ns
-        self.lease_ns = config.lease_ns
+        #: A node dark for this long is presumed failed (its lease lapses)
+        #: and its switch regions become reclaimable.
+        self.lease_ns = config.heartbeat_interval_ns * LEASE_MULTIPLE
         self._tasks: Dict[int, AggregationTask] = {}
         self._timer: Optional[TimerHandle] = None
         # Lease bookkeeping (management path: the supervisor observes node
@@ -228,8 +237,6 @@ class FailureSupervisor:
         loses data: route-around reuses the supervised-restart machinery,
         and re-adoption re-baselines dedup state before non-bypass entries
         resume."""
-        decay = self.config.gray_suspicion_decay
-        threshold = self.config.gray_suspicion_threshold
         deltas: Dict[str, int] = {}
         for host, daemon in self.daemons.items():
             path = self.host_paths.get(host, ())
@@ -244,7 +251,10 @@ class FailureSupervisor:
                     for name in path:
                         deltas[name] = deltas.get(name, 0) + current - seen
         for name, sw in self.switches.items():
-            score = self.suspicion.get(name, 0.0) * decay + deltas.get(name, 0)
+            score = (
+                self.suspicion.get(name, 0.0) * GRAY_SUSPICION_DECAY
+                + deltas.get(name, 0)
+            )
             if score < 1e-9:
                 score = 0.0
             self.suspicion[name] = score
@@ -253,7 +263,7 @@ class FailureSupervisor:
             if name in self._gray:
                 if score < 1.0:
                     self._gray_readopt(name)
-            elif score >= threshold and name not in self._handled:
+            elif score >= GRAY_SUSPICION_THRESHOLD and name not in self._handled:
                 self._gray_suspect(name, score)
 
     def _gray_suspect(self, name: str, score: float) -> None:

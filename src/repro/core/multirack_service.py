@@ -5,12 +5,9 @@ only to hosts within one rack.  And cross-rack traffic would bypass the
 receiver TOR switch and proceed to the receiver host for eventual
 aggregation."
 
-The implementation now lives in :mod:`repro.core.service` as a sibling of
-:class:`~repro.core.service.AskService`: both share the Fig. 4 task
-workflow through ``_AskServiceBase`` and both wire their racks through
-:class:`~repro.runtime.builder.DeploymentBuilder` — the multi-rack
-service is just the builder called once per rack.  This module remains
-the historical import location::
+The services live in :mod:`repro.core.service`, where one rack, a flat
+mesh of racks and a spine–leaf tree are the same deployment shape; this
+module remains the historical import location::
 
     from repro.core.multirack_service import MultiRackService
 

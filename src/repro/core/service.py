@@ -1,8 +1,9 @@
 """`AskService` — the user-facing facade that wires everything together.
 
-A service instance is one rack: one ASK switch, N hosts with daemons, and
-the fabric between them.  Applications submit aggregation tasks (a set of
-sender streams plus one receiver) and run the deployment until completion::
+An :class:`AskService` is one rack: one ASK switch, N hosts with daemons,
+and the fabric between them.  Applications submit aggregation tasks (a set
+of sender streams plus one receiver) and run the deployment until
+completion::
 
     from repro import AskConfig, AskService
 
@@ -17,11 +18,16 @@ The full task workflow of Fig. 4 is followed: region allocation and sender
 notification cost one control-plane latency each before streaming begins,
 and teardown fetches the switch copies before the result is published.
 
-Since the runtime layer, the service is backend-agnostic: the default
-``backend="sim"`` runs on the deterministic discrete-event fabric exactly
-as before, while ``backend="asyncio"`` frames the same protocol onto real
-localhost UDP sockets under wall-clock time (see
-:mod:`repro.runtime.asyncio_fabric`).  All wiring is delegated to
+The service is backend-agnostic: the default ``backend="sim"`` runs on
+the deterministic discrete-event fabric, while ``backend="asyncio"``
+frames the same protocol onto real localhost UDP sockets under wall-clock
+time (see :mod:`repro.runtime.asyncio_fabric`).
+
+There is one deployment shape: pods of racks, each rack behind its TOR
+switch and each pod (if any) under a spine switch.  :class:`AskService`
+declares one rack and no spine, :class:`MultiRackService` several racks in
+a flat mesh, :class:`TreeAskService` pods under spines; task setup, region
+planning and rack lookup are shared, and all wiring is delegated to
 :class:`~repro.runtime.builder.DeploymentBuilder`.
 """
 
@@ -120,18 +126,72 @@ class StreamingSession:
         return self.task.result
 
 
+#: Valid per-task aggregation placement policies for a tree deployment.
+PLACEMENTS = ("leaf", "spine", "both")
+
+#: Pod name -> {rack name -> host names (or a host count)}.  Racks under
+#: the ``None`` pod have no spine.
+Pods = Dict[Optional[str], Dict[str, Union[int, Iterable[str]]]]
+
+
+def _check_placement(placement: str) -> None:
+    if placement not in PLACEMENTS:
+        raise ValueError(
+            f"unknown placement {placement!r}; pick one of {PLACEMENTS}"
+        )
+
+
 class _AskServiceBase:
     """The Fig. 4 task workflow over one wired :class:`Deployment`.
 
-    Subclasses configure a :class:`DeploymentBuilder` (rack layout,
-    backend, switch factory) and hand the built deployment here; the full
-    application surface — ``submit`` / ``open_stream`` / ``run`` /
-    ``aggregate`` — is shared between the single- and multi-rack services
-    and between the sim and asyncio backends.
+    Subclasses configure a :class:`DeploymentBuilder` (backend, switch
+    factory, link parameters) and describe their racks as ``pods``; this
+    base declares the pods and racks, builds, and owns rack lookup and
+    region planning.  The full application surface — ``submit`` /
+    ``open_stream`` / ``run`` / ``aggregate`` — is shared by every
+    deployment shape and both backends.
+
+    Every pod gets one spine switch (``spine-<pod>``), every rack its TOR
+    (``tor-<rack>`` unless ``switch_name`` names the TOR of a one-rack
+    service).  ``placement`` is the service-wide region placement policy;
+    see :class:`TreeAskService`.
     """
 
-    def __init__(self, deployment: Deployment) -> None:
-        self.deployment = deployment
+    def __init__(
+        self,
+        builder: DeploymentBuilder,
+        pods: Pods,
+        placement: str = "leaf",
+        switch_name: Optional[str] = None,
+    ) -> None:
+        _check_placement(placement)
+        self.placement = placement
+        self._task_placement: Dict[int, str] = {}
+        self._pod_of_rack: Dict[str, Optional[str]] = {}
+        tors: Dict[str, str] = {}
+        for pod, racks in pods.items():
+            spine = None if pod is None else builder.add_spine(f"spine-{pod}")
+            for rack, hosts in racks.items():
+                tors[rack] = switch_name or f"tor-{rack}"
+                builder.add_rack(
+                    hosts if isinstance(hosts, int) else list(hosts),
+                    switch_name=tors[rack],
+                    rack=rack,
+                    spine=spine,
+                )
+                self._pod_of_rack[rack] = pod
+        deployment = builder.build(on_task_complete=self._on_task_complete)
+        #: rack name -> that rack's TOR (leaf) switch.
+        self.switches = {
+            rack: deployment.switches[name] for rack, name in tors.items()
+        }
+        #: pod name -> that pod's spine switch (empty without spines).
+        self.spines = {
+            pod: deployment.switches[f"spine-{pod}"]
+            for pod in pods
+            if pod is not None
+        }
+        self.deployment: Deployment = deployment
         self.config: AskConfig = deployment.config
         self.backend: str = deployment.backend
         self.fabric = deployment.fabric
@@ -230,18 +290,46 @@ class _AskServiceBase:
     def hosts(self) -> list[str]:
         return list(self.daemons)
 
-    def _switches_for(self, senders: Iterable[str]) -> tuple[str, ...]:
-        """Switches that must hold a region for a task with ``senders``."""
-        raise NotImplementedError
+    def switch_of_host(self, host: str) -> Any:
+        """The TOR (leaf) switch serving ``host``'s rack."""
+        return self.switches[self.fabric.rack_of_host(host)]
+
+    def spine_of_host(self, host: str) -> Any:
+        """The spine combiner above ``host``'s rack (tree deployments)."""
+        return self.spines[self._pod_of_rack[self.fabric.rack_of_host(host)]]
 
     def _region_plan(
         self, task: AggregationTask
     ) -> tuple[tuple[str, ...], Optional[Dict[str, RegionSpec]]]:
         """Region placement for ``task``: switch names plus (optionally)
-        per-switch :class:`RegionSpec` roles.  The default — every switch
-        from :meth:`_switches_for`, no specs — is the flat deployment;
-        tree services override this with their placement policy."""
-        return self._switches_for(task.senders), None
+        per-switch :class:`RegionSpec` roles, under the task's placement
+        policy (see :class:`TreeAskService`)."""
+        placement = self._task_placement.get(task.task_id, self.placement)
+        # Sender-first-seen rack and pod orders keep allocation (and so
+        # the whole schedule) deterministic for a given stream dict.
+        rack_senders: Dict[str, list[str]] = {}
+        for sender in task.senders:
+            rack_senders.setdefault(self.fabric.rack_of_host(sender), []).append(sender)
+        leaves = tuple(self.switches[rack].name for rack in rack_senders)
+        if placement == "leaf":
+            return leaves, None
+        pod_senders: Dict[Optional[str], list[str]] = {}
+        for rack, senders in rack_senders.items():
+            pod_senders.setdefault(self._pod_of_rack[rack], []).extend(senders)
+        spine_specs = {
+            self.spines[pod].name: RegionSpec(sources=frozenset(senders))
+            for pod, senders in pod_senders.items()
+        }
+        if placement == "spine":
+            return tuple(spine_specs), spine_specs
+        specs = {
+            self.switches[rack].name: RegionSpec(
+                sources=frozenset(senders), relay=True
+            )
+            for rack, senders in rack_senders.items()
+        }
+        specs.update(spine_specs)
+        return leaves + tuple(spine_specs), specs
 
     # ------------------------------------------------------------------
     # Task submission (Fig. 4 steps ①–⑧)
@@ -591,13 +679,8 @@ class AskService(_AskServiceBase):
             switch_factory=switch_factory,
             bind_host=bind_host,
         )
-        builder.add_rack(hosts, switch_name=switch_name)
-        super().__init__(builder.build(on_task_complete=self._on_task_complete))
+        super().__init__(builder, {None: {"r0": hosts}}, switch_name=switch_name)
         self.switch = self.deployment.switch
-
-    def _switches_for(self, senders: Iterable[str]) -> tuple[str, ...]:
-        """A single-rack task always lives on the one rack switch."""
-        return (self.switch.name,)
 
 
 class MultiRackService(_AskServiceBase):
@@ -631,30 +714,7 @@ class MultiRackService(_AskServiceBase):
             core_bandwidth_gbps=core_bandwidth_gbps,
             core_latency_ns=core_latency_ns,
         )
-        for rack, host_names in racks.items():
-            builder.add_rack(list(host_names), switch_name=f"tor-{rack}", rack=rack)
-        super().__init__(builder.build(on_task_complete=self._on_task_complete))
-        #: rack name -> that rack's TOR switch (the historical keying).
-        self.switches = {
-            rack: self.deployment.switches[f"tor-{rack}"] for rack in self.deployment.racks
-        }
-
-    # ------------------------------------------------------------------
-    def switch_of_host(self, host: str):
-        return self.switches[self.fabric.rack_of_host(host)]
-
-    def _switches_for(self, senders: Iterable[str]) -> tuple[str, ...]:
-        """Every sender-side TOR of the task, deduplicated, rack order."""
-        racks = []
-        for sender in senders:
-            rack = self.fabric.rack_of_host(sender)
-            if rack not in racks:
-                racks.append(rack)
-        return tuple(self.switches[rack].name for rack in racks)
-
-
-#: Valid per-task aggregation placement policies for a tree deployment.
-PLACEMENTS = ("leaf", "spine", "both")
+        super().__init__(builder, {None: dict(racks)})
 
 
 class TreeAskService(_AskServiceBase):
@@ -698,19 +758,11 @@ class TreeAskService(_AskServiceBase):
         backend: str = "sim",
         bind_host: str = "127.0.0.1",
     ) -> None:
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; pick one of {PLACEMENTS}"
-            )
         if not pods:
             pods = {
                 "s0": {"r0": ["h0", "h1"], "r1": ["h2", "h3"]},
                 "s1": {"r2": ["h4", "h5"], "r3": ["h6", "h7"]},
             }
-        self.placement = placement
-        self._task_placement: Dict[int, str] = {}
-        self._pod_of_rack: Dict[str, str] = {}
-        self._rack_hosts: Dict[str, tuple[str, ...]] = {}
         builder = DeploymentBuilder(
             config,
             backend=backend,
@@ -721,93 +773,7 @@ class TreeAskService(_AskServiceBase):
             core_latency_ns=core_latency_ns,
             bind_host=bind_host,
         )
-        for pod, pod_racks in pods.items():
-            spine_name = builder.add_spine(f"spine-{pod}")
-            for rack, host_names in pod_racks.items():
-                names = tuple(host_names)
-                builder.add_rack(
-                    list(names), switch_name=f"tor-{rack}", rack=rack, spine=spine_name
-                )
-                self._pod_of_rack[rack] = pod
-                self._rack_hosts[rack] = names
-        super().__init__(builder.build(on_task_complete=self._on_task_complete))
-        #: rack name -> that rack's leaf TOR switch.
-        self.switches = {
-            rack: self.deployment.switches[f"tor-{rack}"]
-            for rack in self.deployment.racks
-        }
-        #: pod name -> that pod's spine switch.
-        self.spines = {pod: self.deployment.switches[f"spine-{pod}"] for pod in pods}
-
-    # ------------------------------------------------------------------
-    def switch_of_host(self, host: str):
-        """The leaf TOR serving ``host``'s rack."""
-        return self.switches[self.fabric.rack_of_host(host)]
-
-    def spine_of_host(self, host: str):
-        """The spine combiner above ``host``'s rack."""
-        return self.spines[self._pod_of_rack[self.fabric.rack_of_host(host)]]
-
-    def _switches_for(self, senders: Iterable[str]) -> tuple[str, ...]:
-        """Sender-side leaf TORs, deduplicated, sender-first-seen order."""
-        racks = []
-        for sender in senders:
-            rack = self.fabric.rack_of_host(sender)
-            if rack not in racks:
-                racks.append(rack)
-        return tuple(self.switches[rack].name for rack in racks)
-
-    def _region_plan(
-        self, task: AggregationTask
-    ) -> tuple[tuple[str, ...], Optional[Dict[str, RegionSpec]]]:
-        placement = self._task_placement.get(task.task_id, self.placement)
-        senders = task.senders
-        # Sender-first-seen rack and pod orders keep allocation (and so
-        # the whole schedule) deterministic for a given stream dict.
-        racks: list[str] = []
-        for sender in senders:
-            rack = self.fabric.rack_of_host(sender)
-            if rack not in racks:
-                racks.append(rack)
-        pods: list[str] = []
-        for rack in racks:
-            pod = self._pod_of_rack[rack]
-            if pod not in pods:
-                pods.append(pod)
-        rack_senders = {
-            rack: frozenset(
-                s for s in senders if self.fabric.rack_of_host(s) == rack
-            )
-            for rack in racks
-        }
-        pod_senders = {
-            pod: frozenset(
-                s
-                for rack in racks
-                if self._pod_of_rack[rack] == pod
-                for s in rack_senders[rack]
-            )
-            for pod in pods
-        }
-        leaves = tuple(self.switches[rack].name for rack in racks)
-        spine_names = tuple(self.spines[pod].name for pod in pods)
-        if placement == "leaf":
-            return leaves, None
-        if placement == "spine":
-            specs = {
-                self.spines[pod].name: RegionSpec(sources=pod_senders[pod])
-                for pod in pods
-            }
-            return spine_names, specs
-        specs = {
-            self.switches[rack].name: RegionSpec(
-                sources=rack_senders[rack], relay=True
-            )
-            for rack in racks
-        }
-        for pod in pods:
-            specs[self.spines[pod].name] = RegionSpec(sources=pod_senders[pod])
-        return leaves + spine_names, specs
+        super().__init__(builder, dict(pods), placement=placement)
 
     # ------------------------------------------------------------------
     def submit(
@@ -823,10 +789,8 @@ class TreeAskService(_AskServiceBase):
         it (``"leaf"`` / ``"spine"`` / ``"both"``).  Region allocation
         happens one control latency later, so the override is recorded
         before :meth:`_region_plan` consults it."""
-        if placement is not None and placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; pick one of {PLACEMENTS}"
-            )
+        if placement is not None:
+            _check_placement(placement)
         task = super().submit(
             streams,
             receiver,
@@ -846,10 +810,8 @@ class TreeAskService(_AskServiceBase):
         tenant_id: int = DEFAULT_TENANT,
         placement: Optional[str] = None,
     ) -> StreamingSession:
-        if placement is not None and placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; pick one of {PLACEMENTS}"
-            )
+        if placement is not None:
+            _check_placement(placement)
         session = super().open_stream(
             senders, receiver, region_size=region_size, tenant_id=tenant_id
         )

@@ -1,13 +1,14 @@
-"""Multi-rack topology: per-rack ASK TOR switches, flat mesh or spine–leaf.
+"""Rack topology: per-rack ASK TOR switches, alone, in a flat mesh or under spines.
 
-Every host is wired to its rack's TOR switch exactly as in
-:class:`~repro.net.topology.StarTopology`.  Racks interconnect one of two
-ways:
+Every host is wired to its rack's TOR switch by a
+:class:`~repro.net.topology.StarTopology`.  One rack is simply the
+smallest deployment: a lone rack with no spine is the paper's single-TOR
+service.  Several racks interconnect one of two ways:
 
 Flat mesh (the §7 deployment, a depth-1 tree)
-    TOR switches are wired pairwise with (faster, wider) core links.  This
-    is the historical layout and stays byte-identical: no spine state is
-    created and every routing decision takes the pre-tree code path.
+    TOR switches are wired pairwise with (faster, wider) core links.  No
+    spine state is created and every routing decision takes the pre-tree
+    code path.
 
 Spine–leaf tree
     Racks are grouped into pods, each pod served by one spine switch
@@ -18,15 +19,18 @@ Spine–leaf tree
     which is what lets a spine ``AskSwitch`` act as a combiner for
     already-partially-aggregated slots.
 
-Each switch sees the fabric through a view exposing the same interface a
-single-rack switch gets from its star topology — ``host_names`` (the §7
-bypass rule keys on it; empty for spines) and ``send_to_host`` (which
+Each switch sees the fabric through a view exposing ``host_names`` (the
+§7 bypass rule keys on it; empty for spines) and ``send_to_host`` (which
 transparently routes anywhere, including control packets addressed to a
 remote switch by name).
 
 Link fault streams derive from stable names (``rack:<rack>``,
 ``core:<a>-><b>``, ``up:<rack>-><spine>``, ``down:<spine>-><rack>``), so
-they do not depend on wiring order.
+they do not depend on wiring order.  The one exception is a
+:attr:`~MultiRackTopology.standalone` topology — one rack, no spine —
+whose star derives its link streams from the fault template itself, as
+the single-switch star always did, so one-rack fingerprints keep their
+history.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from repro.net.fault import FaultModel
 from repro.net.link import Link
 from repro.net.nic import Nic
 from repro.net.simulator import Simulator
-from repro.net.topology import NetworkNode, StarTopology
+from repro.net.topology import NetworkNode, StarTopology, _Port
 from repro.net.trace import PacketTrace
 
 
@@ -47,19 +51,27 @@ class RackView:
 
     Implements the topology interface :class:`~repro.switch.switch.AskSwitch`
     binds to: local ``host_names`` plus ``send_to_host`` that routes
-    anywhere (local downlink, core link, or up the tree).
+    anywhere (local downlink, core link, or up the tree).  A frame for a
+    host of this rack — the common case — takes its downlink port in one
+    lookup.
     """
 
     def __init__(self, fabric: "MultiRackTopology", rack: str) -> None:
         self._fabric = fabric
         self.rack = rack
+        # The star's live host -> downlink map (fills as hosts attach).
+        self._local_ports = fabric._stars[rack]._downlinks  # noqa: SLF001
 
     @property
     def host_names(self) -> list[str]:
         return self._fabric.hosts_of(self.rack)
 
     def send_to_host(self, destination: str, packet: Any, size_bytes: int) -> None:
-        self._fabric.route_from_switch(self.rack, destination, packet, size_bytes)
+        port = self._local_ports.get(destination)
+        if port is not None:
+            port.send(packet, size_bytes)
+        else:
+            self._fabric.route_from_switch(self.rack, destination, packet, size_bytes)
 
 
 class SpineView:
@@ -229,7 +241,8 @@ def plan_rack_shards(
 
 
 class MultiRackTopology:
-    """Racks of hosts behind per-rack switches: flat mesh or spine–leaf."""
+    """Racks of hosts behind per-rack switches: one rack, flat mesh or
+    spine–leaf."""
 
     def __init__(
         self,
@@ -256,6 +269,14 @@ class MultiRackTopology:
         self._switches: Dict[str, NetworkNode] = {}
         self._switch_rack: Dict[str, str] = {}  # leaf switch name -> rack
         self._host_rack: Dict[str, str] = {}
+        # host -> its uplink/downlink port across every rack, so a hop
+        # reaches its port in one lookup.
+        self._uplinks: Dict[str, _Port] = {}
+        self._downlinks: Dict[str, _Port] = {}
+        #: One rack and no spine, declared before the first :meth:`add_rack`:
+        #: that rack's star derives its link fault streams from the fault
+        #: template itself instead of from ``rack:<name>``.
+        self.standalone = False
         self._core_links: Dict[tuple[str, str], Nic] = {}
         # Spine–leaf state (all empty in the flat depth-1 layout).
         self._spine_switches: Dict[str, NetworkNode] = {}  # spine name -> node
@@ -303,6 +324,12 @@ class MultiRackTopology:
             raise TopologyError(f"rack {rack!r} already exists", rack)
         if switch.name in self._switch_rack or switch.name in self._spine_switches:
             raise TopologyError(f"switch {switch.name!r} already placed", switch.name)
+        if switch.name in self._host_rack:
+            raise TopologyError(f"name {switch.name!r} already taken by a host", switch.name)
+        if self.standalone and (self._stars or spine is not None):
+            raise TopologyError(
+                "a standalone topology holds one rack and no spine", rack
+            )
         if spine is None and self._spine_switches:
             raise TopologyError(
                 f"rack {rack!r} needs a spine: this topology is spine–leaf",
@@ -319,7 +346,11 @@ class MultiRackTopology:
             bandwidth_gbps=self.bandwidth_gbps,
             latency_ns=self.latency_ns,
             host_max_pps=self.host_max_pps,
-            fault=self._make_fault(f"rack:{rack}"),
+            fault=(
+                self._fault_template
+                if self.standalone
+                else self._make_fault(f"rack:{rack}")
+            ),
             trace=self.trace,
             ecn_threshold_bytes=self.ecn_threshold_bytes,
         )
@@ -359,12 +390,18 @@ class MultiRackTopology:
             self._spine_core[(src, dst)] = self._core_link_nic(f"core:{src}->{dst}")
 
     def attach_host(self, rack: str, host: NetworkNode) -> None:
-        if host.name in self._host_rack:
-            raise TopologyError(f"host {host.name!r} already attached", host.name)
+        name = host.name
+        if name in self._host_rack:
+            raise TopologyError(f"host {name!r} already attached", name)
+        if name in self._switch_rack or name in self._spine_switches:
+            raise TopologyError(f"name {name!r} already taken by a switch", name)
         if rack not in self._stars:
             raise TopologyError(f"unknown rack {rack!r}", rack)
-        self._stars[rack].attach_host(host)
-        self._host_rack[host.name] = rack
+        star = self._stars[rack]
+        star.attach_host(host)
+        self._host_rack[name] = rack
+        self._uplinks[name] = star.uplink(name)
+        self._downlinks[name] = star.downlink(name)
 
     # ------------------------------------------------------------------
     # Lookups
@@ -377,6 +414,14 @@ class MultiRackTopology:
             return self._host_rack[host]
         except KeyError:
             raise TopologyError(f"unknown host {host!r}", host) from None
+
+    def uplink(self, host: str) -> _Port:
+        """The host→TOR port of ``host`` (its link can be retuned)."""
+        return self._uplinks[host]
+
+    def downlink(self, host: str) -> _Port:
+        """The TOR→host port of ``host``."""
+        return self._downlinks[host]
 
     def host_node(self, host: str) -> NetworkNode:
         """The attached node object for ``host`` (fault injection)."""
@@ -447,8 +492,11 @@ class MultiRackTopology:
     # ------------------------------------------------------------------
     def send_to_switch(self, host: str, packet: Any, size_bytes: int) -> None:
         """Host uplink: always to the host's own TOR (its leaf)."""
-        rack = self.rack_of_host(host)
-        self._stars[rack].send_to_switch(host, packet, size_bytes)
+        try:
+            port = self._uplinks[host]
+        except KeyError:
+            raise TopologyError(f"unknown host {host!r}", host) from None
+        port.send(packet, size_bytes)
 
     def route_from_switch(
         self, rack: str, destination: str, packet: Any, size_bytes: int
@@ -472,7 +520,7 @@ class MultiRackTopology:
             raise TopologyError(f"unknown destination {destination!r}", destination)
         target_rack = self._host_rack[destination]
         if target_rack == rack:
-            self._stars[rack].send_to_host(destination, packet, size_bytes)
+            self._downlinks[destination].send(packet, size_bytes)
         else:
             self._send_interrack(rack, target_rack, packet, size_bytes)
 

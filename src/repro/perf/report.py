@@ -1,10 +1,9 @@
 """Run reports: one readable summary of everything a service run did.
 
 ``service_report`` condenses the switch counters, per-link statistics and
-per-task outcomes of an :class:`~repro.core.service.AskService` (or
-:class:`~repro.core.multirack_service.MultiRackService`) run — the
-observability surface an operator of the real system would want, and what
-the examples print after a run.
+per-task outcomes of a simulated service run — one rack, several racks or
+a spine–leaf tree — the observability surface an operator of the real
+system would want, and what the examples print after a run.
 """
 
 from __future__ import annotations
@@ -55,22 +54,18 @@ def _switch_block(name: str, switch) -> list[str]:
     return lines
 
 
-def _link_rows(topology) -> list[list[object]]:
-    rows = []
-    for host in topology.host_names:
-        for direction, port in (("up", topology.uplink(host)), ("down", topology.downlink(host))):
-            link = port.link
-            rows.append(
-                [
-                    link.name,
-                    link.packets_sent,
-                    link.packets_dropped,
-                    link.packets_duplicated,
-                    link.packets_marked,
-                    f"{link.bytes_sent / 1024:.1f}",
-                ]
-            )
-    return rows
+def _link_rows(links: Iterable) -> list[list[object]]:
+    return [
+        [
+            link.name,
+            link.packets_sent,
+            link.packets_dropped,
+            link.packets_duplicated,
+            link.packets_marked,
+            f"{link.bytes_sent / 1024:.1f}",
+        ]
+        for link in sorted(links, key=lambda link: link.name)
+    ]
 
 
 def service_report(service) -> str:
@@ -86,22 +81,16 @@ def service_report(service) -> str:
         )
     )
 
-    # Switches (single- or multi-rack)
-    switches = getattr(service, "switches", None)
-    if switches is not None:
-        for rack, switch in switches.items():
-            lines.extend(_switch_block(f"tor-{rack}", switch))
-    else:
-        lines.extend(_switch_block(service.switch.name, service.switch))
+    # Every switch of the deployment: TORs and spines, by name.
+    for name, switch in service.deployment.switches.items():
+        lines.extend(_switch_block(name, switch))
 
-    # Links (star topologies expose per-host ports; multirack nests them)
-    topology = service.topology
-    if hasattr(topology, "uplink"):
-        lines.append(
-            format_table(
-                ["link", "pkts", "dropped", "dup'd", "ECN-marked", "KiB"],
-                _link_rows(topology),
-                title="links",
-            )
+    # Every link of the fabric: host star links and interconnect links.
+    lines.append(
+        format_table(
+            ["link", "pkts", "dropped", "dup'd", "ECN-marked", "KiB"],
+            _link_rows(service.fabric._links()),  # noqa: SLF001
+            title="links",
         )
+    )
     return "\n".join(lines)

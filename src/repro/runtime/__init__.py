@@ -13,21 +13,22 @@ interfaces defined here:
 
 Two backends ship:
 
-- :class:`~repro.runtime.sim.SimFabric` /
-  :class:`~repro.runtime.sim.SimMultiRackFabric` — wrappers over the
-  deterministic discrete-event stack (`Simulator`, `StarTopology`,
-  `Link`, `Nic`).  Behaviour-identical to the pre-runtime wiring: the
-  same seed produces the same schedule, stats and retransmission counts.
+- :class:`~repro.runtime.sim.SimFabric` — one wrapper over the
+  deterministic discrete-event stack (`Simulator`, `MultiRackTopology`,
+  `Link`, `Nic`) for every deployment shape, one rack included
+  (``SimMultiRackFabric`` is its historical alias).  The same seed
+  produces the same schedule, stats and retransmission counts.
 - :class:`~repro.runtime.asyncio_fabric.AsyncioFabric` — a real-time
   backend that frames :class:`~repro.core.packet.AskPacket` onto UDP
-  sockets between asyncio endpoints (one per host daemon plus one for
-  the switch program), with wall-clock timers and real packet loss
+  sockets between asyncio endpoints (one per host daemon and one per
+  switch program), with wall-clock timers and real packet loss
   tolerated by the unchanged reliability layer.
 
 :class:`~repro.runtime.builder.DeploymentBuilder` assembles either
 backend into a ready deployment (switches + control plane + daemons) and
 is the single place rack wiring happens — `AskService`,
-`MultiRackService` and backend-comparison harnesses all build through it.
+`MultiRackService`, `TreeAskService` and backend-comparison harnesses
+all build through it.
 """
 
 from typing import Any

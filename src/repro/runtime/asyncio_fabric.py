@@ -1,8 +1,8 @@
 """Real-time backend: ASK frames on localhost UDP under asyncio.
 
 The paper's host stack moves real datagrams with DPDK; this backend is
-the Python equivalent at reduced ambition.  Every node of a rack — each
-host daemon and the switch program — gets its own UDP socket on
+the Python equivalent at reduced ambition.  Every node of a deployment —
+each host daemon and each switch program — gets its own UDP socket on
 127.0.0.1 and its own asyncio task draining a receive queue, so frames
 really cross the kernel between sockets and arrive asynchronously.  The
 protocol stack is unchanged: the same sender/receiver state machines run
@@ -122,8 +122,8 @@ class _NodeEndpoint(asyncio.DatagramProtocol):
 
 
 class _AsyncioRackView:
-    """A leaf switch's fabric view in the asyncio multi-rack mode: local
-    ``host_names`` plus tree/mesh routing for everything egressing."""
+    """A TOR switch's fabric view: local ``host_names`` plus rack, mesh
+    or tree routing for everything egressing."""
 
     def __init__(self, fabric: "AsyncioFabric", rack: str) -> None:
         self._fabric = fabric
@@ -156,17 +156,13 @@ class _AsyncioSpineView:
 class AsyncioFabric:
     """One ASK deployment on localhost UDP sockets.
 
-    Two wiring modes share the same datagram machinery:
-
-    - *single-rack* (the historical mode, unchanged): one switch, the
-      fabric itself is the switch's view, every frame is host↔switch.
-    - *multi-rack / tree*: ``install_switch(switch, rack=...)`` (plus
-      optional ``install_spine``) gives every switch its own
-      :class:`_AsyncioRackView`/:class:`_AsyncioSpineView` and frames hop
-      name-to-name along the same leaf→spine→leaf paths the simulated
-      :class:`~repro.net.multirack.MultiRackTopology` takes.  Each hop is
-      a real kernel datagram with its own per-direction fault stream
-      (``fault.derive("src->dst")``), so per-hop loss falls out for free.
+    Every switch binds to its own :class:`_AsyncioRackView` (or
+    :class:`_AsyncioSpineView`), and frames hop name-to-name along the
+    same host→TOR[→spine[→spine]→TOR]→host paths the simulated
+    :class:`~repro.net.multirack.MultiRackTopology` takes; one rack is
+    the smallest case.  Each hop is a real kernel datagram with its own
+    per-direction fault stream (``fault.derive("src->dst")``), so per-hop
+    loss falls out for free.
     """
 
     backend = "asyncio"
@@ -189,8 +185,7 @@ class AsyncioFabric:
         self.frame_version = frame_version
         self._endpoints: Dict[str, _NodeEndpoint] = {}
         self._faults: Dict[Tuple[str, str], FaultModel] = {}
-        self._switch_name: Optional[str] = None
-        # Multi-rack / tree wiring (all empty in single-rack mode).
+        # Rack / tree wiring (spine maps empty unless the fabric is a tree).
         self._rack_switch: Dict[str, str] = {}  # rack -> leaf switch name
         self._switch_rack: Dict[str, str] = {}  # leaf switch name -> rack
         self._rack_spine: Dict[str, str] = {}  # rack -> spine switch name
@@ -246,27 +241,13 @@ class AsyncioFabric:
     def install_switch(
         self, switch: Node, rack: Optional[str] = None, spine: Optional[str] = None
     ) -> None:
-        """Install a switch.  ``rack=None`` keeps the historical
-        single-switch mode (the fabric itself is the switch's view);
-        naming a rack enters multi-rack mode, optionally hanging the rack
-        under an already-installed ``spine``."""
+        """Install ``rack``'s TOR switch, optionally hanging the rack under
+        an already-installed ``spine``.  Without ``rack`` the switch
+        becomes the one rack (``r0``) of a standalone deployment."""
         if rack is None:
-            if spine is not None:
-                raise TopologyError("a single-rack switch takes no spine", switch.name)
-            if self._multirack:
-                raise RuntimeError(
-                    "fabric already in multi-rack mode; pass rack= to install_switch"
-                )
-            if self._switch_name is not None:
+            if self._rack_switch or self._spines:
                 raise RuntimeError("fabric already has a switch installed")
-            self._register(switch)
-            self._switch_name = switch.name
-            bind = getattr(switch, "bind", None)
-            if bind is not None:
-                bind(self)
-            return
-        if self._switch_name is not None:
-            raise RuntimeError("fabric already has a single-rack switch installed")
+            rack = "r0"
         if rack in self._rack_switch:
             raise TopologyError(f"rack {rack!r} already exists", rack)
         if spine is None and self._rack_spine:
@@ -278,7 +259,7 @@ class AsyncioFabric:
         self._register(switch)
         self._rack_switch[rack] = switch.name
         self._switch_rack[switch.name] = rack
-        self._rack_hosts[rack] = []
+        self._rack_hosts.setdefault(rack, [])
         if spine is not None:
             self._rack_spine[rack] = spine
         bind = getattr(switch, "bind", None)
@@ -286,9 +267,7 @@ class AsyncioFabric:
             bind(_AsyncioRackView(self, rack))
 
     def install_spine(self, switch: Node) -> None:
-        """Declare a spine switch (multi-rack tree mode only)."""
-        if self._switch_name is not None:
-            raise RuntimeError("fabric already has a single-rack switch installed")
+        """Declare a spine switch (tree deployments)."""
         if self._rack_switch and len(self._rack_spine) != len(self._rack_switch):
             raise TopologyError(
                 "cannot add a spine to a flat multi-rack fabric", switch.name
@@ -299,25 +278,15 @@ class AsyncioFabric:
         if bind is not None:
             bind(_AsyncioSpineView(self, switch.name))
 
-    @property
-    def _multirack(self) -> bool:
-        return bool(self._rack_switch or self._spines)
-
     def attach_host(self, host: Node, rack: Optional[str] = None) -> None:
-        if self._multirack:
-            if rack is None:
-                raise ValueError("a multi-rack fabric needs the host's rack")
-            if rack not in self._rack_switch:
-                raise TopologyError(f"unknown rack {rack!r}", rack)
-            if host.name in self._host_rack:
-                raise TopologyError(f"host {host.name!r} already attached", host.name)
-            self._register(host)
-            self._host_rack[host.name] = rack
-            self._rack_hosts[rack].append(host.name)
-            return
-        if self._switch_name is not None and host.name == self._switch_name:
-            raise ValueError(f"{host.name!r} is already the switch")
+        """Wire ``host`` into ``rack`` (``r0`` when omitted).  A host may
+        attach before its rack's switch; :meth:`start` checks every rack
+        has one."""
+        if rack is None:
+            rack = "r0"
         self._register(host)
+        self._host_rack[host.name] = rack
+        self._rack_hosts.setdefault(rack, []).append(host.name)
 
     def _register(self, node: Node) -> None:
         if self._started:
@@ -328,9 +297,7 @@ class AsyncioFabric:
 
     @property
     def host_names(self) -> list[str]:
-        if self._multirack:
-            return list(self._host_rack)
-        return [name for name in self._endpoints if name != self._switch_name]
+        return list(self._host_rack)
 
     def hosts_of(self, rack: str) -> list[str]:
         return list(self._rack_hosts[rack])
@@ -355,8 +322,11 @@ class AsyncioFabric:
             return
         if self._closed:
             raise RuntimeError("fabric already closed")
-        if self._switch_name is None and not self._rack_switch:
+        if not self._rack_switch:
             raise RuntimeError("install_switch() must run before start()")
+        for rack in self._rack_hosts:
+            if rack not in self._rack_switch:
+                raise TopologyError(f"unknown rack {rack!r}", rack)
         self.loop.run_until_complete(self._open_endpoints())
         self._started = True
         pending, self._pending = self._pending, []
@@ -483,25 +453,15 @@ class AsyncioFabric:
         transport.sendto(data, address)
 
     def send_to_switch(self, host: str, packet: AskPacket, size_bytes: int) -> None:
-        if self._multirack:
-            self._transmit(host, self._rack_switch[self.rack_of_host(host)], packet)
-            return
-        if self._switch_name is None:
-            raise RuntimeError("no switch installed")
-        self._transmit(host, self._switch_name, packet)
+        self._transmit(host, self._rack_switch[self.rack_of_host(host)], packet)
 
     def send_to_host(self, host: str, packet: AskPacket, size_bytes: int) -> None:
-        if self._multirack:
-            # Route from the host's own TOR (tests/tools; switches route
-            # through their bound views instead).
-            self.route_from_switch(self.rack_of_host(host), host, packet)
-            return
-        if self._switch_name is None:
-            raise RuntimeError("no switch installed")
-        self._transmit(self._switch_name, host, packet)
+        """Route from the host's own TOR (tests/tools; switches route
+        through their bound views instead)."""
+        self.route_from_switch(self.rack_of_host(host), host, packet)
 
     # ------------------------------------------------------------------
-    # Multi-rack / tree routing (name-level next hops over _transmit)
+    # Routing (name-level next hops over _transmit)
     # ------------------------------------------------------------------
     def route_from_switch(self, rack: str, destination: str, packet: AskPacket) -> None:
         """Next hop for a packet leaving ``rack``'s leaf switch."""

@@ -1,9 +1,8 @@
 """`DeploymentBuilder` — the one place rack wiring happens.
 
-Before the runtime layer, `AskService` and `MultiRackService` each
-hand-wired simulator, trace, switch, topology, control plane and daemons
-— six call sites to edit for every new backend or topology.  The builder
-folds that into one component: declare racks, pick a backend, build.
+The builder is one component for every deployment shape: declare racks
+(and, for a tree, spines), pick a backend, build.  One rack is just the
+smallest deployment — the same wiring with a single rack and no spine.
 
 ::
 
@@ -23,6 +22,7 @@ to the old hand wiring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.core.config import AskConfig
@@ -38,7 +38,7 @@ from repro.net.trace import PacketTrace
 from repro.runtime.asyncio_fabric import AsyncioFabric
 from repro.runtime.codec import VERSION, VERSION_LEGACY
 from repro.runtime.interfaces import Clock, TaskRunner
-from repro.runtime.sim import SimFabric, SimMultiRackFabric
+from repro.runtime.sim import SimFabric
 
 #: ``"sim-sharded"`` wires the exact same deterministic sim fabric as
 #: ``"sim"`` — sharding happens one layer up (:mod:`repro.runtime.sharded`
@@ -120,8 +120,8 @@ class DeploymentBuilder:
     """Assemble an ASK deployment on a chosen backend.
 
     One ``add_rack`` call builds the classic single-rack service; several
-    build the §7 multi-rack deployment (sim backend only — the asyncio
-    backend currently frames one rack onto UDP).
+    build the §7 multi-rack deployment, and ``add_spine`` turns it into a
+    spine–leaf tree.  Every shape runs on every backend.
     """
 
     def __init__(
@@ -209,25 +209,22 @@ class DeploymentBuilder:
                 trace=trace,
                 frame_version=frame_version,
             )
-        if len(self._racks) > 1 or self._spines:
-            return SimMultiRackFabric(
-                bandwidth_gbps=config.link_bandwidth_gbps,
-                latency_ns=config.link_latency_ns,
-                core_bandwidth_gbps=self.core_bandwidth_gbps,
-                core_latency_ns=self.core_latency_ns,
-                host_max_pps=config.host_max_pps,
-                fault=self.fault,
-                trace=trace,
-                ecn_threshold_bytes=ecn,
-            )
-        return SimFabric(
+        fabric = SimFabric(
             bandwidth_gbps=config.link_bandwidth_gbps,
             latency_ns=config.link_latency_ns,
+            core_bandwidth_gbps=self.core_bandwidth_gbps,
+            core_latency_ns=self.core_latency_ns,
             host_max_pps=config.host_max_pps,
             fault=self.fault,
             trace=trace,
             ecn_threshold_bytes=ecn,
         )
+        # The determinism rule: one rack and no spine is the standalone
+        # rack, whose star derives its link faults from the template
+        # itself (every one-rack fingerprint pins those streams); each
+        # rack of a larger deployment derives them from ``rack:<name>``.
+        fabric.topology.standalone = len(self._racks) == 1 and not self._spines
+        return fabric
 
     def _sender_for(self, fabric: Any, host: str) -> Callable[[AskPacket], None]:
         def send(packet: AskPacket) -> None:
@@ -247,42 +244,31 @@ class DeploymentBuilder:
         trace = PacketTrace(enabled=self.config.trace)
         active_trace = trace if self.config.trace else None
         fabric = self._make_fabric(active_trace)
-        multirack = len(self._racks) > 1 or bool(self._spines)
         control = ControlPlane()
         switches: Dict[str, Any] = {}
         daemons: Dict[str, HostDaemon] = {}
         racks: Dict[str, List[str]] = {}
 
-        # Spines first (a rack's add_rack wires uplinks to an existing
-        # spine); declaration order is part of the determinism contract.
-        for spine_name in self._spines:
-            spine_switch = self.switch_factory(
-                self.config,
-                fabric.clock,
-                name=spine_name,
-                max_tasks=self.max_tasks,
-                max_channels=self.max_channels,
-                trace=active_trace,
-            )
-            fabric.install_spine(spine_switch)
-            switches[spine_name] = spine_switch
-            control.register(spine_name, spine_switch.controller)
-
-        for rack, switch_name, host_names, spine in self._racks:
+        def add_switch(name: str, install: Callable[[Any], Any]) -> None:
             switch = self.switch_factory(
                 self.config,
                 fabric.clock,
-                name=switch_name,
+                name=name,
                 max_tasks=self.max_tasks,
                 max_channels=self.max_channels,
                 trace=active_trace,
             )
-            if multirack:
-                fabric.install_switch(switch, rack, spine=spine)
-            else:
-                fabric.install_switch(switch)
-            switches[switch_name] = switch
-            control.register(switch_name, switch.controller)
+            install(switch)
+            switches[name] = switch
+            control.register(name, switch.controller)
+
+        # Spines first (a rack's add_rack wires uplinks to an existing
+        # spine); declaration order is part of the determinism contract.
+        for spine_name in self._spines:
+            add_switch(spine_name, fabric.install_spine)
+
+        for rack, switch_name, host_names, spine in self._racks:
+            add_switch(switch_name, partial(fabric.install_switch, rack=rack, spine=spine))
             racks[rack] = list(host_names)
             for name in host_names:
                 daemon = HostDaemon(
@@ -294,10 +280,13 @@ class DeploymentBuilder:
                     on_task_complete=on_task_complete,
                 )
                 daemons[name] = daemon
-                if multirack:
-                    fabric.attach_host(daemon, rack)
-                else:
-                    fabric.attach_host(daemon)
+                fabric.attach_host(daemon, rack)
+
+        host_paths = {
+            host: (tor,) if spine is None else (tor, spine)
+            for _, tor, rack_hosts, spine in self._racks
+            for host in rack_hosts
+        }
 
         if self._spines:
             # Combiner dedup baselining: whenever a job first activates on
@@ -309,36 +298,22 @@ class DeploymentBuilder:
             # is re-established per job, at a moment the window is
             # provably empty (jobs are strictly FIFO).
             host_spine = {
-                host: spine
-                for _, _, rack_hosts, spine in self._racks
-                if spine is not None
-                for host in rack_hosts
+                host: path[1] for host, path in host_paths.items() if len(path) > 1
             }
             hook = _make_activation_hook(switches, host_spine)
             for daemon in daemons.values():
                 for channel in daemon.channels:
                     channel.activation_hook = hook
 
-        host_paths = {
-            host: (tor,) if spine is None else (tor, spine)
-            for _, tor, rack_hosts, spine in self._racks
-            for host in rack_hosts
-        }
-
         supervisor: Optional[FailureSupervisor] = None
         if self.config.failure_detection:
-            host_tor = {
-                host: tor
-                for _, tor, rack_hosts, _ in self._racks
-                for host in rack_hosts
-            }
             supervisor = FailureSupervisor(
                 fabric.clock,
                 self.config,
                 control,
                 daemons,
                 switches,
-                host_tor,
+                {host: path[0] for host, path in host_paths.items()},
                 host_paths=host_paths,
             )
             for name, daemon in daemons.items():

@@ -1,12 +1,16 @@
-"""Discrete-event backend: the existing simulator stack behind the
+"""Discrete-event backend: the simulator stack behind the
 :class:`~repro.runtime.interfaces.Fabric` / ``TaskRunner`` interfaces.
 
-These wrappers add **no** event hops and **no** extra scheduling — every
-``send`` delegates straight into the same :class:`StarTopology` /
-:class:`Link` / :class:`Nic` code the services used before the runtime
-layer existed, so a fixed seed produces exactly the schedule, stats and
-retransmission counts it always did (the `bench_hotpath` determinism
-guard enforces this).
+One fabric class serves every deployment shape: :class:`SimFabric` wraps
+a :class:`~repro.net.multirack.MultiRackTopology`, and a single rack is
+simply its smallest case — one rack, no spine.  Switches bind to per-rack
+:class:`~repro.net.multirack.RackView` / spine
+:class:`~repro.net.multirack.SpineView` objects; host uplinks route by
+the host's rack.  The wrappers add **no** event hops and **no** extra
+scheduling: every ``send`` delegates straight into the same
+:class:`StarTopology` / :class:`Link` / :class:`Nic` code, so a fixed
+seed produces exactly the schedule, stats and retransmission counts it
+always did (the `bench_hotpath` determinism guard enforces this).
 
 :class:`~repro.net.simulator.Simulator` itself satisfies the
 :class:`~repro.runtime.interfaces.Clock` protocol, so ``fabric.clock`` is
@@ -28,7 +32,7 @@ from repro.net.fault import (
 from repro.net.link import Link
 from repro.net.multirack import MultiRackTopology, RackView, SpineView
 from repro.net.simulator import Simulator, paused_gc
-from repro.net.topology import NetworkNode, StarTopology
+from repro.net.topology import NetworkNode
 from repro.net.trace import PacketTrace
 from repro.runtime.interfaces import Node
 
@@ -43,9 +47,8 @@ class _CorruptionWindow:
     off (``cleanse``).  Draws come from dedicated ``random.Random``
     streams so opening a window never perturbs the link fault schedules.
 
-    Streams are keyed per *drawing host* (the first endpoint every call
-    site passes — the sending host of the frame under inspection), lazily
-    created from ``"<seed_label>:<host>"``.  A fabric-wide stream would
+    Streams are keyed per *sending host*, lazily created from
+    ``"<seed_label>:<host>"``.  A fabric-wide stream would
     interleave draws in global packet order, which a rack-sharded run
     (:mod:`repro.runtime.sharded`) cannot reproduce: each shard only sees
     its own hosts' sends.  Per-host streams depend only on that host's
@@ -62,20 +65,16 @@ class _CorruptionWindow:
         self._seed_label = seed_label
         self._rngs: Dict[str, random.Random] = {}
 
-    def maybe_corrupt(
-        self, packet: object, key: Optional[str], *endpoints: Optional[str]
-    ) -> object:
-        if not self.targets or type(packet) is CorruptedFrame:
-            return packet
-        if not any(
-            e in self.targets for e in (key, *endpoints) if e is not None
+    def maybe_corrupt(self, packet: object, host: str, dst: Optional[str]) -> object:
+        """Corrupt a frame ``host`` sends toward ``dst`` when either end
+        is in a window, drawing from ``host``'s stream."""
+        if type(packet) is CorruptedFrame or (
+            host not in self.targets and dst not in self.targets
         ):
             return packet
-        if key is None:  # pragma: no cover - every call site keys by host
-            key = ""
-        rng = self._rngs.get(key)
+        rng = self._rngs.get(host)
         if rng is None:
-            rng = self._rngs[key] = random.Random(f"{self._seed_label}:{key}")
+            rng = self._rngs[host] = random.Random(f"{self._seed_label}:{host}")
         if rng.random() >= self.rate:
             return packet
         if not hasattr(packet, "bitmap"):
@@ -121,204 +120,15 @@ class SimRunner:
 
 
 class SimFabric:
-    """One rack on the deterministic simulator.
+    """Racks of hosts on the deterministic simulator: one rack, a flat §7
+    mesh or a spine–leaf tree.
 
-    Construction order matters for seed-for-seed reproducibility and
-    mirrors the pre-runtime services exactly: the simulator exists first,
-    the switch is installed (building the star topology), then hosts
-    attach in order, each deriving its two per-link fault models.
-    """
-
-    backend = "sim"
-
-    def __init__(
-        self,
-        bandwidth_gbps: Optional[float] = 100.0,
-        latency_ns: int = 1_000,
-        host_max_pps: Optional[float] = None,
-        fault: Optional[FaultModel] = None,
-        trace: Optional[PacketTrace] = None,
-        ecn_threshold_bytes: Optional[int] = None,
-        sim: Optional[Simulator] = None,
-    ) -> None:
-        self.sim = sim if sim is not None else Simulator()
-        self._params = dict(
-            bandwidth_gbps=bandwidth_gbps,
-            latency_ns=latency_ns,
-            host_max_pps=host_max_pps,
-            fault=fault,
-            trace=trace,
-            ecn_threshold_bytes=ecn_threshold_bytes,
-        )
-        self.topology: Optional[StarTopology] = None
-        self._partitioned: set[str] = set()
-        #: Frames dropped at a partitioned node's egress (its ingress
-        #: drops are counted on the node itself).
-        self.partition_drops = 0
-        seed = fault.seed if fault is not None else 0
-        self._corruption = _CorruptionWindow(f"{seed}:chaos-corrupt")
-        #: Gray-failure knobs (chaos ``slow``/``revive``): every link
-        #: touching a slowed node pays ``latency * slow_multiplier`` plus
-        #: uniform jitter up to ``slow_jitter_ns`` per packet.  Set before
-        #: the first ``slow`` event; the per-link jitter streams are
-        #: seeded from ``{seed}:chaos-slow:{link_name}``.
-        self.slow_multiplier = 4.0
-        self.slow_jitter_ns = 0
-        self._slow_label = f"{seed}:chaos-slow"
-        self._slowdowns: Dict[str, LinkSlowdown] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def clock(self) -> Simulator:
-        return self.sim
-
-    def runner(self) -> SimRunner:
-        return SimRunner(self.sim)
-
-    # ------------------------------------------------------------------
-    def install_switch(self, switch: Node) -> None:
-        """Create the star around ``switch`` and bind the switch to it."""
-        if self.topology is not None:
-            raise RuntimeError("fabric already has a switch installed")
-        self.topology = StarTopology(self.sim, switch, **self._params)
-        bind = getattr(switch, "bind", None)
-        if bind is not None:
-            bind(self)
-
-    def _star(self) -> StarTopology:
-        if self.topology is None:
-            raise RuntimeError("install_switch() must run before fabric use")
-        return self.topology
-
-    # ------------------------------------------------------------------
-    # Fabric interface
-    # ------------------------------------------------------------------
-    @property
-    def host_names(self) -> list[str]:
-        return [] if self.topology is None else self.topology.host_names
-
-    def attach_host(self, host: Node) -> None:
-        self._star().attach_host(host)
-
-    def send_to_switch(self, host: str, packet: object, size_bytes: int) -> None:
-        if host in self._partitioned:
-            self.partition_drops += 1
-            return
-        star = self._star()
-        packet = self._corruption.maybe_corrupt(packet, host, star.switch.name)
-        star.send_to_switch(host, packet, size_bytes)
-
-    def send_to_host(self, host: str, packet: object, size_bytes: int) -> None:
-        star = self._star()
-        packet = self._corruption.maybe_corrupt(
-            packet, host, getattr(packet, "src", None)
-        )
-        star.send_to_host(host, packet, size_bytes)
-
-    # ------------------------------------------------------------------
-    # Fault injection: network partitions (pure loss, nodes keep running)
-    # ------------------------------------------------------------------
-    def _node(self, name: str) -> NetworkNode:
-        star = self._star()
-        if name == star.switch.name:
-            return star.switch
-        return star.host(name)
-
-    def partition(self, name: str) -> None:
-        """Cut ``name`` off: its egress is dropped here (counted in
-        :attr:`partition_drops`) and its ingress at the node.  A
-        partitioned *switch* still flushes frames already in its pipeline
-        — exactly the asymmetry a real link flap exhibits."""
-        self._partitioned.add(name)
-        self._node(name).set_partitioned(True)
-
-    def heal(self, name: str) -> None:
-        self._partitioned.discard(name)
-        self._node(name).set_partitioned(False)
-
-    # ------------------------------------------------------------------
-    # Fault injection: corruption windows (chaos "corrupt"/"cleanse")
-    # ------------------------------------------------------------------
-    def corrupt(self, name: str) -> None:
-        """Open a corruption window on ``name``: frames it sends or
-        receives are delivered corrupted (with probability
-        ``corruption_rate``) until :meth:`cleanse`."""
-        self._corruption.targets.add(name)
-
-    def cleanse(self, name: str) -> None:
-        self._corruption.targets.discard(name)
-
-    @property
-    def corruption_rate(self) -> float:
-        """Per-frame corruption probability inside an open window."""
-        return self._corruption.rate
-
-    @corruption_rate.setter
-    def corruption_rate(self, rate: float) -> None:
-        self._corruption.rate = rate
-
-    def _links(self) -> Iterator[Link]:
-        if self.topology is None:
-            return
-        for port in self.topology._uplinks.values():  # noqa: SLF001
-            yield port.link
-        for port in self.topology._downlinks.values():  # noqa: SLF001
-            yield port.link
-
-    # ------------------------------------------------------------------
-    # Fault injection: gray slowdown windows (chaos "slow"/"revive")
-    # ------------------------------------------------------------------
-    def _slow_links(self, name: str) -> Iterator[Link]:
-        star = self._star()
-        if name == star.switch.name:
-            yield from self._links()
-        else:
-            yield star._uplinks[name].link  # noqa: SLF001
-            yield star._downlinks[name].link  # noqa: SLF001
-
-    def _set_slow(self, name: str, active: bool) -> None:
-        for link in self._slow_links(name):
-            slowdown = self._slowdowns.get(link.name)
-            if slowdown is None:
-                slowdown = self._slowdowns[link.name] = LinkSlowdown(
-                    self._slow_label,
-                    link.name,
-                    multiplier=self.slow_multiplier,
-                    jitter_ns=self.slow_jitter_ns,
-                )
-                link.slowdown = slowdown
-            slowdown.active = active
-
-    def slow(self, name: str) -> None:
-        """Gray failure: every link touching ``name`` gets slower (never
-        lossy) until :meth:`revive` — the node stays alive and heartbeats
-        keep answering, just late."""
-        self._set_slow(name, True)
-
-    def revive(self, name: str) -> None:
-        self._set_slow(name, False)
-
-    @property
-    def packets_slowed(self) -> int:
-        """Packets delivered late through an open slowdown window."""
-        return sum(link.packets_slowed for link in self._links())
-
-    @property
-    def corruption_injected(self) -> int:
-        """Corrupted frames delivered by this fabric: steady-state link
-        corruption (``FaultModel.corrupt_rate``) plus chaos windows."""
-        return self._corruption.injected + sum(
-            link.packets_corrupted for link in self._links()
-        )
-
-
-class SimMultiRackFabric:
-    """The §7 multi-rack fabric on the deterministic simulator.
-
-    The single-rack :class:`Fabric` surface applies per rack through the
+    The :class:`Fabric` surface applies per rack through the
     :class:`~repro.net.multirack.RackView` each switch binds to; host
-    uplinks route by the host's rack, so ``send_to_switch`` keeps the
-    single-rack signature.
+    uplinks route by the host's rack, so ``send_to_switch`` takes only the
+    host.  The rack-less ``install_switch(switch)`` /
+    ``attach_host(host)`` calls build the one-rack deployment (rack
+    ``r0``, standalone).
     """
 
     backend = "sim"
@@ -347,14 +157,17 @@ class SimMultiRackFabric:
             trace=trace,
             ecn_threshold_bytes=ecn_threshold_bytes,
         )
-        self._host_rack: Dict[str, str] = {}
         self._partitioned: set[str] = set()
         #: Frames dropped at a partitioned node's egress (its ingress
         #: drops are counted on the node itself).
         self.partition_drops = 0
         seed = fault.seed if fault is not None else 0
         self._corruption = _CorruptionWindow(f"{seed}:chaos-corrupt")
-        #: Gray-failure knobs; see :class:`SimFabric` for semantics.
+        #: Gray-failure knobs (chaos ``slow``/``revive``): every link
+        #: touching a slowed node pays ``latency * slow_multiplier`` plus
+        #: uniform jitter up to ``slow_jitter_ns`` per packet.  Set before
+        #: the first ``slow`` event; the per-link jitter streams are
+        #: seeded from ``{seed}:chaos-slow:{link_name}``.
         self.slow_multiplier = 4.0
         self.slow_jitter_ns = 0
         self._slow_label = f"{seed}:chaos-slow"
@@ -370,11 +183,17 @@ class SimMultiRackFabric:
 
     # ------------------------------------------------------------------
     def install_switch(
-        self, switch: Node, rack: str, spine: Optional[str] = None
+        self, switch: Node, rack: Optional[str] = None, spine: Optional[str] = None
     ) -> RackView:
         """Create ``rack`` around ``switch``, wire links, bind.  With
         ``spine`` the rack hangs under that (already installed) spine
-        instead of joining the flat pairwise core mesh."""
+        instead of joining the flat pairwise core mesh.  Without ``rack``
+        the switch becomes the one rack of a standalone deployment."""
+        if rack is None:
+            if self.topology.racks or self.topology.spine_names:
+                raise RuntimeError("fabric already has a switch installed")
+            self.topology.standalone = True
+            rack = "r0"
         view = self.topology.add_rack(rack, switch, spine=spine)
         bind = getattr(switch, "bind", None)
         if bind is not None:
@@ -390,10 +209,15 @@ class SimMultiRackFabric:
         return view
 
     def attach_host(self, host: Node, rack: Optional[str] = None) -> None:
+        """Wire ``host`` into ``rack`` (the only rack when omitted)."""
         if rack is None:
-            raise ValueError("a multi-rack fabric needs the host's rack")
+            racks = self.topology.racks
+            if len(racks) != 1:
+                raise ValueError(
+                    f"fabric has {len(racks)} racks; name the host's rack"
+                )
+            rack = racks[0]
         self.topology.attach_host(rack, host)
-        self._host_rack[host.name] = rack
 
     # ------------------------------------------------------------------
     @property
@@ -411,9 +235,11 @@ class SimMultiRackFabric:
         # target sends, or frames addressed to it, break on their first
         # hop); switch-egress traffic routes through per-rack RackViews
         # and relies on the per-link ``FaultModel.corrupt_rate`` instead.
-        packet = self._corruption.maybe_corrupt(
-            packet, host, getattr(packet, "dst", None)
-        )
+        corruption = self._corruption
+        if corruption.targets:
+            packet = corruption.maybe_corrupt(
+                packet, host, getattr(packet, "dst", None)
+            )
         self.topology.send_to_switch(host, packet, size_bytes)
 
     def send_to_host(self, host: str, packet: object, size_bytes: int) -> None:
@@ -466,45 +292,39 @@ class SimMultiRackFabric:
 
     def _links(self) -> Iterator[Link]:
         topo = self.topology
-        for star in topo._stars.values():  # noqa: SLF001 - fabric owns topology
-            for port in star._uplinks.values():  # noqa: SLF001
-                yield port.link
-            for port in star._downlinks.values():  # noqa: SLF001
-                yield port.link
-        for nic in topo._core_links.values():  # noqa: SLF001
-            yield nic.link
-        for nic in topo._up_nics.values():  # noqa: SLF001
-            yield nic.link
-        for nic in topo._down_nics.values():  # noqa: SLF001
-            yield nic.link
-        for nic in topo._spine_core.values():  # noqa: SLF001
+        for port in topo._uplinks.values():  # noqa: SLF001 - fabric owns topology
+            yield port.link
+        for port in topo._downlinks.values():  # noqa: SLF001
+            yield port.link
+        for _name, _src, _dst, nic in topo.interconnect_links():
             yield nic.link
 
     # ------------------------------------------------------------------
     # Fault injection: gray slowdown windows (chaos "slow"/"revive")
     # ------------------------------------------------------------------
     def _slow_links(self, name: str) -> Iterator[Link]:
+        """Every link touching ``name``: a host's two star links; a TOR's
+        star links plus the interconnect links it terminates; a spine's
+        interconnect links."""
         topo = self.topology
+        hosts: list[str]
+        endpoint: Optional[tuple[str, str]]
         if name in topo._switch_rack:  # noqa: SLF001 - fabric owns topology
             rack = topo.rack_of_switch(name)
+            hosts = topo.hosts_of(rack)
             endpoint = ("rack", rack)
         elif name in topo._spine_switches:  # noqa: SLF001
-            rack = None
+            hosts = []
             endpoint = ("spine", name)
         else:
-            rack = topo.rack_of_host(name)
-            star = topo._stars[rack]  # noqa: SLF001
-            yield star._uplinks[name].link  # noqa: SLF001
-            yield star._downlinks[name].link  # noqa: SLF001
-            return
-        if rack is not None:
-            star = topo._stars[rack]  # noqa: SLF001
-            for port in star._uplinks.values():  # noqa: SLF001
-                yield port.link
-            for port in star._downlinks.values():  # noqa: SLF001
-                yield port.link
+            hosts = [name]
+            endpoint = None
+        for host in hosts:
+            yield topo.uplink(host).link
+        for host in hosts:
+            yield topo.downlink(host).link
         for _name, src, dst, nic in topo.interconnect_links():
-            if src == endpoint or dst == endpoint:
+            if endpoint in (src, dst):
                 yield nic.link
 
     def _set_slow(self, name: str, active: bool) -> None:
@@ -541,3 +361,8 @@ class SimMultiRackFabric:
         return self._corruption.injected + sum(
             link.packets_corrupted for link in self._links()
         )
+
+
+#: Alias of :class:`SimFabric`, kept so code importing the multi-rack
+#: name keeps working (``repro.runtime`` exports both).
+SimMultiRackFabric = SimFabric

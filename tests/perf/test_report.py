@@ -1,7 +1,7 @@
 """Tests for the run-report generator."""
 
 from repro.core.config import AskConfig
-from repro.core.multirack_service import MultiRackService
+from repro.core.multirack_service import MultiRackService, TreeAskService
 from repro.core.service import AskService
 from repro.net.fault import FaultModel
 from repro.perf.report import service_report
@@ -46,6 +46,16 @@ def test_report_works_for_multirack():
     service.aggregate({"a": [(b"x", 1)] * 40, "c": [(b"x", 2)] * 40}, receiver="b")
     report = service_report(service)
     assert "switch tor-r0:" in report and "switch tor-r1:" in report
+
+
+def test_report_names_every_switch_and_link_of_a_tree():
+    service = TreeAskService(AskConfig.small(), placement="both")
+    service.aggregate({"h0": [(b"x", 1)] * 40, "h4": [(b"x", 2)] * 40}, receiver="h7")
+    report = service_report(service)
+    assert "switch spine-s0:" in report and "switch spine-s1:" in report
+    assert "switch tor-r0:" in report and "switch tor-r3:" in report
+    assert "up:r0->spine-s0" in report and "core:spine-s0->spine-s1" in report
+    assert "h0->switch" in report
 
 
 def test_report_on_unfinished_service_is_safe():
